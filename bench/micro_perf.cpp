@@ -421,6 +421,44 @@ void BM_EventQueueDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueDrain)->Arg(1024)->Arg(16384);
 
+// The failure detector's pattern, the opposite of BM_EventQueueDrain's
+// one event per timestamp: `chains` periodic probe chains on one
+// interval, each firing scheduling its successor one interval later,
+// so every tick holds `chains` events at one timestamp. Every 97th
+// firing also schedules an off-grid event between two ticks, the way
+// controller and injector callbacks interleave with probing. 464 is the
+// chain count of a k=8 control plane (every switch and every link).
+void BM_EventQueueProbeChains(benchmark::State& state) {
+  const auto chains = static_cast<std::uint32_t>(state.range(0));
+  constexpr Seconds kInterval = 1e-3;
+  constexpr Seconds kHorizon = 200 * kInterval;
+  struct Prober {
+    sim::EventQueue queue;
+    std::uint64_t fired = 0;
+    void probe(std::uint32_t chain) {
+      if (++fired % 97 == 0) {
+        queue.schedule_in(0.37 * kInterval, [this] { ++fired; });
+      }
+      const Seconds next = queue.now() + kInterval;
+      if (next <= kHorizon) {
+        queue.schedule_at(next, [this, chain] { probe(chain); });
+      }
+    }
+  };
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    Prober p;
+    for (std::uint32_t c = 0; c < chains; ++c) {
+      p.queue.schedule_at(kInterval, [&p, c] { p.probe(c); });
+    }
+    p.queue.run();
+    events += p.fired;
+    benchmark::DoNotOptimize(p.fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueProbeChains)->Arg(64)->Arg(464);
+
 void BM_FluidSimCoflowTrace(benchmark::State& state) {
   // Setup (topology, router, trace expansion) is hoisted out of the loop:
   // the old per-iteration PauseTiming()/ResumeTiming() pair costs ~100ns

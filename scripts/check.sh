@@ -12,10 +12,11 @@
 #                  harness sweep.
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
-#                  build-asan) and run the fault-injection and
-#                  control-plane suites under it — the chaos paths
-#                  exercise the allocation-heavy recovery machinery that
-#                  ASan watches best.
+#                  build-asan) and run the fault-injection, control-plane,
+#                  event-queue and detector suites under it — the chaos
+#                  paths exercise the allocation-heavy recovery machinery
+#                  that ASan watches best, and the event queue indexes
+#                  its slot arena through a free list.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -372,10 +373,14 @@ fi
 if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
-  cmake --build "$BUILD" --target faultinject_test control_plane_test
+  cmake --build "$BUILD" --target faultinject_test control_plane_test \
+    sim_test control_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
-  echo "asan: faultinject_test + control_plane_test clean"
+  "$BUILD"/tests/sim_test
+  "$BUILD"/tests/control_test
+  echo "asan: faultinject_test + control_plane_test + sim_test +" \
+    "control_test clean"
   exit 0
 fi
 

@@ -7,7 +7,11 @@ namespace sbk::control {
 FailureDetector::FailureDetector(sim::EventQueue& queue,
                                  const net::Network& net,
                                  DetectorConfig config)
-    : queue_(&queue), net_(&net), config_(config) {
+    : queue_(&queue),
+      net_(&net),
+      config_(config),
+      node_watch_(net.node_count()),
+      link_watch_(net.link_count()) {
   SBK_EXPECTS(config_.probe_interval > 0.0);
   SBK_EXPECTS(config_.miss_threshold >= 1);
   SBK_EXPECTS(config_.phase >= 0.0);
@@ -50,7 +54,12 @@ void FailureDetector::trace_detection(const std::string& element,
 }
 
 void FailureDetector::watch_node(net::NodeId node, Seconds horizon) {
-  WatchState& w = node_watch_[node];
+  SBK_EXPECTS(node.index() < net_->node_count());
+  if (node.index() >= node_watch_.size()) {
+    node_watch_.resize(net_->node_count());
+  }
+  WatchState& w = node_watch_[node.index()];
+  w.watched = true;
   w.misses = 0;
   w.reported = false;
   w.horizon = horizon;
@@ -63,7 +72,12 @@ void FailureDetector::watch_node(net::NodeId node, Seconds horizon) {
 }
 
 void FailureDetector::watch_link(net::LinkId link, Seconds horizon) {
-  WatchState& w = link_watch_[link];
+  SBK_EXPECTS(link.index() < net_->link_count());
+  if (link.index() >= link_watch_.size()) {
+    link_watch_.resize(net_->link_count());
+  }
+  WatchState& w = link_watch_[link.index()];
+  w.watched = true;
   w.misses = 0;
   w.reported = false;
   w.horizon = horizon;
@@ -76,7 +90,7 @@ void FailureDetector::watch_link(net::LinkId link, Seconds horizon) {
 }
 
 void FailureDetector::probe_node(net::NodeId node) {
-  WatchState& w = node_watch_[node];
+  WatchState& w = node_watch_[node.index()];
   if (m_node_probes_) m_node_probes_->add();
   // The keep-alive arrives iff the node is up.
   if (net_->node_failed(node)) {
@@ -97,8 +111,9 @@ void FailureDetector::probe_node(net::NodeId node) {
   } else {
     w.misses = 0;
   }
-  // Re-read the state: the callback may have re-watched or re-armed.
-  WatchState& w2 = node_watch_[node];
+  // Re-read the state: the callback may have re-watched or re-armed
+  // (and a watch of a newly added element may have grown the vector).
+  WatchState& w2 = node_watch_[node.index()];
   Seconds next = queue_->now() + config_.probe_interval;
   if (next <= w2.horizon) {
     queue_->schedule_at(next, [this, node] { probe_node(node); });
@@ -108,7 +123,7 @@ void FailureDetector::probe_node(net::NodeId node) {
 }
 
 void FailureDetector::probe_link(net::LinkId link) {
-  WatchState& w = link_watch_[link];
+  WatchState& w = link_watch_[link.index()];
   if (m_link_probes_) m_link_probes_->add();
   // A link probe succeeds iff the link and both endpoints are up. A dead
   // endpoint is detected by the node keep-alives; the link path still
@@ -135,7 +150,7 @@ void FailureDetector::probe_link(net::LinkId link) {
   } else if (!net_->link_failed(link)) {
     w.misses = 0;
   }
-  WatchState& w2 = link_watch_[link];
+  WatchState& w2 = link_watch_[link.index()];
   Seconds next = queue_->now() + config_.probe_interval;
   if (next <= w2.horizon) {
     queue_->schedule_at(next, [this, link] { probe_link(link); });
@@ -145,9 +160,9 @@ void FailureDetector::probe_link(net::LinkId link) {
 }
 
 void FailureDetector::rearm_node(net::NodeId node) {
-  auto it = node_watch_.find(node);
-  if (it == node_watch_.end()) return;  // never watched: nothing to re-arm
-  WatchState& w = it->second;
+  if (node.index() >= node_watch_.size()) return;
+  WatchState& w = node_watch_[node.index()];
+  if (!w.watched) return;  // never watched: nothing to re-arm
   w.misses = 0;
   w.reported = false;
   if (!w.chain_scheduled) {
@@ -160,9 +175,9 @@ void FailureDetector::rearm_node(net::NodeId node) {
 }
 
 void FailureDetector::rearm_link(net::LinkId link) {
-  auto it = link_watch_.find(link);
-  if (it == link_watch_.end()) return;  // never watched: nothing to re-arm
-  WatchState& w = it->second;
+  if (link.index() >= link_watch_.size()) return;
+  WatchState& w = link_watch_[link.index()];
+  if (!w.watched) return;  // never watched: nothing to re-arm
   w.misses = 0;
   w.reported = false;
   if (!w.chain_scheduled) {

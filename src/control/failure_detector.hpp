@@ -22,7 +22,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -54,9 +53,10 @@ class FailureDetector {
   FailureDetector(sim::EventQueue& queue, const net::Network& net,
                   DetectorConfig config);
 
-  /// Starts watching a node / link. Probing events are scheduled up to
-  /// `horizon`. Watching an already-watched element resets its counters
-  /// and retargets its horizon without starting a second probe chain.
+  /// Starts watching a node / link of the network. Probing events are
+  /// scheduled up to `horizon`. Watching an already-watched element
+  /// resets its counters and retargets its horizon without starting a
+  /// second probe chain.
   void watch_node(net::NodeId node, Seconds horizon);
   void watch_link(net::LinkId link, Seconds horizon);
 
@@ -67,7 +67,8 @@ class FailureDetector {
 
   /// A recovered element is re-armed for future detections; if its probe
   /// chain expired while the horizon is still ahead, probing resumes
-  /// (see the probe-chain contract above).
+  /// (see the probe-chain contract above). A never-watched element is
+  /// left alone.
   void rearm_node(net::NodeId node);
   void rearm_link(net::LinkId link);
 
@@ -84,6 +85,8 @@ class FailureDetector {
 
  private:
   struct WatchState {
+    /// watch_* was called for this element (rearm_* is a no-op until then).
+    bool watched = false;
     int misses = 0;
     bool reported = false;
     /// A probe event for this element is pending in the queue.
@@ -105,8 +108,10 @@ class FailureDetector {
   sim::EventQueue* queue_;
   const net::Network* net_;
   DetectorConfig config_;
-  std::unordered_map<net::NodeId, WatchState> node_watch_;
-  std::unordered_map<net::LinkId, WatchState> link_watch_;
+  /// Watch state indexed by NodeId / LinkId, sized from the network (and
+  /// grown if the network gains elements later).
+  std::vector<WatchState> node_watch_;
+  std::vector<WatchState> link_watch_;
   NodeCallback node_cb_;
   LinkCallback link_cb_;
   obs::RecoveryTracer* tracer_ = nullptr;

@@ -157,20 +157,17 @@ void FlightRecorder::write_csv(std::ostream& out) const {
   }
 }
 
-ScopedSpan::ScopedSpan(FlightRecorder* recorder, std::string_view category,
-                       std::string_view name, Seconds at)
-    : recorder_(recorder != nullptr && recorder->enabled() ? recorder
-                                                           : nullptr) {
-  if (recorder_ == nullptr) return;
+void ScopedSpan::begin(FlightRecorder* recorder, std::string_view category,
+                       std::string_view name, Seconds at) {
   category_ = category;
   name_ = name;
   sim_start_ = at;
   sim_end_ = at;
   wall_start_us_ = FlightRecorder::wall_now_us();
+  recorder_ = recorder;
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (recorder_ == nullptr) return;
+void ScopedSpan::end() {
   recorder_->complete(category_, name_, sim_start_, sim_end_,
                       FlightRecorder::wall_now_us() - wall_start_us_,
                       detail_);

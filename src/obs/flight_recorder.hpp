@@ -126,22 +126,32 @@ class FlightRecorder {
 /// RAII phase timer: measures the wall-clock time of a scope and records
 /// one kComplete event when the scope exits. The simulation interval is
 /// [at, at] unless set_end() provides a later simulation end. When the
-/// recorder is null or disabled the constructor is a branch and nothing
-/// else — no clock read, no strings.
+/// recorder is null or disabled the constructor and destructor are an
+/// inline branch and nothing else — no call, no clock read, no strings.
 class ScopedSpan {
  public:
   ScopedSpan(FlightRecorder* recorder, std::string_view category,
-             std::string_view name, Seconds at);
+             std::string_view name, Seconds at) {
+    if (recorder != nullptr && recorder->enabled()) {
+      begin(recorder, category, name, at);
+    }
+  }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan();
+  ~ScopedSpan() {
+    if (recorder_ != nullptr) end();
+  }
 
   /// Extends the span's simulation interval to [at, sim_end].
   void set_end(Seconds sim_end) noexcept { sim_end_ = sim_end; }
   void set_detail(std::string detail) { detail_ = std::move(detail); }
 
  private:
-  FlightRecorder* recorder_;  // nullptr when inactive
+  void begin(FlightRecorder* recorder, std::string_view category,
+             std::string_view name, Seconds at);
+  void end();
+
+  FlightRecorder* recorder_ = nullptr;  // nullptr when inactive
   std::string category_;
   std::string name_;
   std::string detail_;

@@ -30,8 +30,8 @@ class EventQueue {
   void schedule_in(Seconds delay, Callback fn);
 
   [[nodiscard]] Seconds now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// Runs the earliest event; returns false if the queue is empty.
   bool step();
@@ -42,22 +42,52 @@ class EventQueue {
   void run();
 
  private:
-  struct Entry {
-    Seconds time;
-    std::uint64_t seq;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// Arena slot: a pending callback, linked to the next event of its run
+  /// (or, while free, to the next free slot).
+  struct Slot {
     Callback fn;
+    std::uint32_t next = kNil;
+  };
+
+  /// A FIFO run of events sharing one timestamp. Run invariant: events
+  /// get increasing sequence numbers, and a run accepts appends only
+  /// while it is the newest run, so every run is a contiguous slice of
+  /// the insertion order. Tie order: two runs at equal times hold
+  /// disjoint slices, so every event of one precedes every event of the
+  /// other in seq exactly when its first_seq is smaller. Firing the runs
+  /// in (time, first_seq) order, each front to back, is therefore
+  /// exactly the per-event (time, seq) order.
+  struct Run {
+    Seconds time = 0.0;
+    std::uint64_t first_seq = 0;
+    std::uint32_t head = kNil;  ///< next event to fire; kNil = drained
+    std::uint32_t tail = kNil;  ///< last event, where appends link in
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
+    bool operator()(const Run& a, const Run& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.first_seq > b.first_seq;
     }
   };
 
-  // Raw binary heap (push_heap/pop_heap) rather than std::priority_queue:
-  // top() is const there, which forces a copy of the std::function payload
-  // on every step. Owning the vector lets us move entries out.
-  std::vector<Entry> heap_;
+  /// The run holding the earliest pending event; requires !empty().
+  Run& next_run() noexcept;
+
+  // A schedule_at at the open run's exact timestamp (bit for bit, so a
+  // -0.0 never joins a 0.0 run and now() reports each event's own time)
+  // appends to it; any other timestamp seals the open run into `sealed_`
+  // and opens a new one. The open run's first_seq exceeds every sealed
+  // run's, so on a time tie the sealed run fires first. For periodic
+  // probing — hundreds of events per timestamp, each scheduling its
+  // successor one interval later — a step costs O(1) amortized, where a
+  // heap of single events would sift through all of them.
+  Run open_;
+  std::vector<Run> sealed_;  ///< min-heap under Later; no drained runs
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNil;  ///< head of the free-slot list
+  std::size_t pending_ = 0;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   obs::FlightRecorder* recorder_ = nullptr;

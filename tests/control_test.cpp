@@ -618,6 +618,35 @@ TEST(Detector, DoubleWatchDoesNotDoubleCount) {
   EXPECT_LE(metrics.counter("detector.node_probes").value(), 50u);
 }
 
+TEST(Detector, OutOfRangeWatchRejectedAtTheCall) {
+  // An id outside the network must be rejected by the watch call itself,
+  // leaving nothing behind in the queue. Stored and probed, it would
+  // trip the probe's Network::node() precondition one interval later,
+  // from inside the event loop, far from the faulty call.
+  topo::FatTree ft(topo::FatTreeParams{.k = 4});
+  sim::EventQueue q;
+  FailureDetector det(q, ft.network(), DetectorConfig{});
+  const net::NodeId no_node(
+      static_cast<net::NodeId::value_type>(ft.network().node_count()));
+  const net::LinkId no_link(
+      static_cast<net::LinkId::value_type>(ft.network().link_count()));
+  EXPECT_THROW(det.watch_node(no_node, 1.0), ContractViolation);
+  EXPECT_THROW(det.watch_link(no_link, 1.0), ContractViolation);
+  EXPECT_THROW(det.watch_node(net::NodeId{}, 1.0), ContractViolation);
+  EXPECT_THROW(det.watch_link(net::LinkId{}, 1.0), ContractViolation);
+  EXPECT_TRUE(q.empty());
+
+  // Re-arming an element that was never watched (in range or not) stays
+  // a no-op: nothing is scheduled.
+  det.rearm_node(ft.core(0));
+  det.rearm_link(net::LinkId{0});
+  det.rearm_node(no_node);
+  det.rearm_link(no_link);
+  EXPECT_TRUE(q.empty());
+  q.run();
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+}
+
 TEST(Detector, RearmAfterExpiredChainReschedules) {
   // A large phase pushes the first probe past the horizon: the chain
   // never starts. rearm must start probing as long as the clock has not

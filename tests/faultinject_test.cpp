@@ -433,6 +433,52 @@ TEST(ChaosSoak, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ChaosSoak, OutcomesMatchPinnedDigest) {
+  // The determinism tests above compare runs of one build; this one pins
+  // the outcome across builds. A change in event order (an event queue
+  // that broke same-time ties differently, a detector that probed in
+  // another order) moves the counters of some scenario and with them
+  // the digest. The constant was recorded with the binary-heap queue
+  // that the run-grouped queue replaced, so it checks the replacement
+  // against an independent implementation. A deliberate behaviour
+  // change re-records it.
+  ChaosSoakConfig cfg;
+  cfg.scenarios = 25;
+  cfg.master_seed = 7;
+  cfg.threads = 2;
+  cfg.k = 8;
+  cfg.backups_per_group = 2;
+  cfg.cluster_members = 3;
+  const ChaosSoakReport report = run_chaos_soak(cfg);
+  ASSERT_EQ(report.scenarios.size(), cfg.scenarios);
+  EXPECT_TRUE(report.clean()) << report.summary();
+  std::uint64_t digest = 0;
+  auto add = [&digest](std::uint64_t v) {
+    digest = sweep::splitmix64(digest ^ v);
+  };
+  for (const ChaosScenarioResult& s : report.scenarios) {
+    for (std::uint64_t v :
+         {s.seed, static_cast<std::uint64_t>(s.violations.size()),
+          static_cast<std::uint64_t>(s.failures_injected),
+          static_cast<std::uint64_t>(s.failovers),
+          static_cast<std::uint64_t>(s.retries),
+          static_cast<std::uint64_t>(s.degraded_reroutes),
+          static_cast<std::uint64_t>(s.requeued),
+          static_cast<std::uint64_t>(s.watchdog_trips),
+          static_cast<std::uint64_t>(s.reports_lost),
+          static_cast<std::uint64_t>(s.reports_buffered),
+          static_cast<std::uint64_t>(s.probes_routed),
+          static_cast<std::uint64_t>(s.unreachable_global_reroute),
+          static_cast<std::uint64_t>(s.unreachable_spider),
+          static_cast<std::uint64_t>(s.unreachable_backup_rules),
+          static_cast<std::uint64_t>(s.slo_breaches),
+          static_cast<std::uint64_t>(s.slo_clears)}) {
+      add(v);
+    }
+  }
+  EXPECT_EQ(digest, 0xc63f5e8f853b1917ULL) << std::hex << "digest 0x" << digest;
+}
+
 TEST(ChaosSoak, ReachabilityRaceProbesEveryStrategy) {
   // The post-recovery race routes the same host pairs with all three
   // non-ShareBackup strategies over the end-state network; any invalid

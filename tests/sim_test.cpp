@@ -4,7 +4,11 @@
 // analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 
 #include "net/algo.hpp"
 #include "routing/ecmp.hpp"
@@ -14,6 +18,7 @@
 #include "sim/max_min.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace sbk::sim {
 namespace {
@@ -47,9 +52,9 @@ TEST(EventQueue, RunUntilLeavesLaterEvents) {
 }
 
 TEST(EventQueue, ManyEqualTimestampsFireInInsertionOrder) {
-  // The heap breaks time ties on the insertion sequence number; a large
-  // batch at one timestamp must drain strictly FIFO (a plain binary
-  // heap without the tie-break would interleave them arbitrarily).
+  // The queue breaks time ties on insertion order; a large batch at one
+  // timestamp must drain strictly FIFO (a plain binary heap without a
+  // tie-break would interleave them arbitrarily).
   EventQueue q;
   std::vector<int> fired;
   constexpr int kBatch = 500;
@@ -107,6 +112,114 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   q.run();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(q.now(), 4.0);
+}
+
+TEST(EventQueue, PropertyFiringOrderIsStableSortByTime) {
+  // Seeded random schedules against a reference model. Timestamps mix
+  // repeats (the current time, a coarse grid, the newest event's time,
+  // which is the queue's open run), distinct random times, and 0.0 /
+  // -0.0 ties while the clock is at zero. Handlers schedule more events
+  // and sometimes throw; the main loop interleaves step(), run_until()
+  // cut-offs and outside schedules. The model checks every firing
+  // against the earliest pending (time, insertion index), and
+  // pending()/empty()/now() after every step — now() bit for bit, so
+  // the sign of a zero timestamp is kept too. At the end the whole
+  // firing order must equal a stable sort of all events by time.
+  auto same_bits = [](Seconds a, Seconds b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  constexpr std::size_t kMaxEvents = 300;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::vector<Seconds> times;        // by insertion index
+    std::vector<std::size_t> pending;  // model: ids not yet fired
+    std::vector<std::size_t> fired;
+    Seconds expected_now = 0.0;
+
+    auto draw_time = [&](Seconds now) -> Seconds {
+      const double r = rng.uniform_real(0.0, 1.0);
+      if (now == 0.0 && r < 0.3) return rng.bernoulli(0.5) ? -0.0 : 0.0;
+      if (r < 0.45) return now;
+      if (r < 0.6 && !times.empty() && times.back() >= now) {
+        return times.back();
+      }
+      if (r < 0.85) {
+        return std::ceil(now * 4.0) / 4.0 +
+               0.25 * static_cast<double>(rng.uniform_index(4));
+      }
+      return now + rng.uniform_real(0.0, 1.0);
+    };
+    std::function<void(Seconds)> schedule;
+    auto fire = [&](std::size_t id) {
+      auto earliest = std::min_element(
+          pending.begin(), pending.end(), [&](std::size_t a, std::size_t b) {
+            if (times[a] != times[b]) return times[a] < times[b];
+            return a < b;
+          });
+      ASSERT_NE(earliest, pending.end());
+      EXPECT_EQ(id, *earliest);
+      const auto it = std::find(pending.begin(), pending.end(), id);
+      ASSERT_NE(it, pending.end()) << "event " << id << " fired twice";
+      pending.erase(it);
+      fired.push_back(id);
+      expected_now = times[id];
+      EXPECT_TRUE(same_bits(q.now(), times[id]));
+      EXPECT_EQ(q.pending(), pending.size());
+      EXPECT_EQ(q.empty(), pending.empty());
+      const std::size_t children = rng.uniform_index(3);
+      for (std::size_t c = 0; c < children && times.size() < kMaxEvents;
+           ++c) {
+        schedule(draw_time(q.now()));
+      }
+      if (rng.bernoulli(0.05)) throw std::runtime_error("handler failed");
+    };
+    schedule = [&](Seconds at) {
+      const std::size_t id = times.size();
+      times.push_back(at);
+      pending.push_back(id);
+      q.schedule_at(at, [&fire, id] { fire(id); });
+    };
+
+    const std::size_t initial = 1 + rng.uniform_index(40);
+    for (std::size_t i = 0; i < initial; ++i) schedule(draw_time(0.0));
+    while (!pending.empty()) {
+      const double r = rng.uniform_real(0.0, 1.0);
+      try {
+        if (r < 0.15) {
+          // Cut off at the current time, exactly at a pending event's
+          // time, or in between.
+          const double c = rng.uniform_real(0.0, 1.0);
+          const Seconds until =
+              c < 0.3   ? q.now()
+              : c < 0.6 ? times[pending[rng.uniform_index(pending.size())]]
+                        : q.now() + rng.uniform_real(0.0, 1.5);
+          q.run_until(until);
+          expected_now = std::max(expected_now, until);
+          for (std::size_t id : pending) EXPECT_GT(times[id], until);
+        } else if (r < 0.3 && times.size() < kMaxEvents) {
+          schedule(draw_time(q.now()));
+        } else {
+          EXPECT_TRUE(q.step());
+        }
+      } catch (const std::runtime_error&) {
+        // The throwing event is consumed; the clock stays at its time.
+      }
+      EXPECT_TRUE(same_bits(q.now(), expected_now));
+      EXPECT_EQ(q.pending(), pending.size());
+      EXPECT_EQ(q.empty(), pending.empty());
+    }
+    EXPECT_FALSE(q.step());
+
+    std::vector<std::size_t> order(times.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return times[a] < times[b];
+                     });
+    EXPECT_EQ(fired, order);
+  }
 }
 
 // --- max-min ----------------------------------------------------------------

@@ -489,6 +489,42 @@ void BM_FluidSimCoflowTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidSimCoflowTrace)->Arg(20)->Arg(60)->Unit(benchmark::kMillisecond);
 
+void BM_FluidSimEqualShare(benchmark::State& state) {
+  // fig1c's allocation mode and router in miniature: per-link equal
+  // share, ECMP with global reroute, one edge-agg link failed at t=0
+  // and restored at the end of the arrival window (which also leaves
+  // the hoisted network pristine between iterations). The router is
+  // built inside the timed region, as each fig1c simulation builds its
+  // own.
+  const auto coflows = static_cast<std::size_t>(state.range(0));
+  topo::FatTreeParams ftp{.k = 8};
+  ftp.hosts_per_edge = 1;
+  ftp.host_link_capacity = 40.0;
+  topo::FatTree ft(ftp);
+  workload::CoflowWorkloadParams wp;
+  wp.racks = ft.host_count();
+  wp.coflows = coflows;
+  wp.duration = 60.0;
+  Rng rng(5);
+  const auto flows =
+      workload::expand_to_flows(ft, workload::generate_coflows(wp, rng));
+  const net::LinkId victim =
+      *ft.network().find_link(ft.edge(1, 0), ft.agg(1, 0));
+  sim::SimConfig cfg;
+  cfg.allocation = sim::AllocationModel::kPerLinkEqualShare;
+  for (auto _ : state) {
+    routing::EcmpWithGlobalRerouteRouter router(ft, 1);
+    sim::FluidSimulator simulator(ft.network(), router, cfg);
+    simulator.add_flows(flows);
+    simulator.at(0.0, [victim](net::Network& n) { n.fail_link(victim); });
+    simulator.at(wp.duration,
+                 [victim](net::Network& n) { n.restore_link(victim); });
+    auto results = simulator.run();
+    benchmark::DoNotOptimize(results.size());
+  }
+}
+BENCHMARK(BM_FluidSimEqualShare)->Arg(20)->Arg(60)->Unit(benchmark::kMillisecond);
+
 void BM_FlightRecorderDisabled(benchmark::State& state) {
   // The flight recorder's disabled-mode contract: a simulation with a
   // disabled recorder and sampler ATTACHED must run at the speed of one

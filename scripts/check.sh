@@ -13,10 +13,13 @@
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection, control-plane,
-#                  event-queue and detector suites under it — the chaos
-#                  paths exercise the allocation-heavy recovery machinery
-#                  that ASan watches best, and the event queue indexes
-#                  its slot arena through a free list.
+#                  simulator, detector, routing and baselines suites
+#                  under it — the chaos paths exercise the
+#                  allocation-heavy recovery machinery that ASan watches
+#                  best, the event queue indexes its slot arena through
+#                  a free list, the fluid simulator swap-erases per-slot
+#                  flow lists, and the routers build structural paths
+#                  by index.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -374,13 +377,15 @@ if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
   cmake --build "$BUILD" --target faultinject_test control_plane_test \
-    sim_test control_test
+    sim_test control_test routing_test baselines_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/sim_test
   "$BUILD"/tests/control_test
+  "$BUILD"/tests/routing_test
+  "$BUILD"/tests/baselines_test
   echo "asan: faultinject_test + control_plane_test + sim_test +" \
-    "control_test clean"
+    "control_test + routing_test + baselines_test clean"
   exit 0
 fi
 

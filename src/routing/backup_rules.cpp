@@ -42,14 +42,9 @@ net::Path BackupRulesRouter::route(const Network& net, net::NodeId src,
                   "router is bound to a different network instance");
   if (src == dst) return Path{{src}, {}};
 
-  const EpochPathCache::Ref entry = structural_.lookup(net, src, dst, [&] {
-    return candidate_paths(*ft_, src, dst, /*live_only=*/false);
-  });
-  const std::vector<Path>& candidates = *entry;
-  if (candidates.empty()) return {};
   const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
-  const std::size_t n = candidates.size();
-  const Path& primary = candidates[h % n];
+  const std::size_t n = structural_path_count(*ft_, src, dst);
+  Path primary = structural_path(*ft_, src, dst, h % n);
   if (net::is_live_path(net, primary)) return primary;
   if (net.node_failed(src) || net.node_failed(dst)) return {};
 
@@ -60,7 +55,7 @@ net::Path BackupRulesRouter::route(const Network& net, net::NodeId src,
   // stable function of (structure, salt, flow).
   const std::size_t fail_at = first_dead_hop(net, primary);
   for (std::size_t t = 1; t < n; ++t) {
-    const Path& alt = candidates[(h + t) % n];
+    Path alt = structural_path(*ft_, src, dst, (h + t) % n);
     if (!shares_prefix(alt, primary, fail_at)) continue;
     if (!net::is_live_path(net, alt)) continue;
     ++backup_hits_;

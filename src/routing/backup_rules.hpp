@@ -16,14 +16,16 @@
 // dead host link or a severed downstream edge switch) triggers the
 // global fallback; if even that fails, the flow is lost.
 //
-// The structural candidate sets live in a structure-epoch
-// EpochPathCache and survive failure churn untouched.
+// Candidates are built by index with structural_path(): the primary at
+// the hashed index, and each alternate (h + t) % n only when the probe
+// reaches it. The same count and the same enumeration order make every
+// pick bit-identical to indexing the enumerated structural set, and no
+// per-pair cache is kept.
 #pragma once
 
 #include <cstdint>
 
 #include "routing/global_reroute.hpp"
-#include "routing/path_cache.hpp"
 #include "routing/router.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -32,10 +34,7 @@ namespace sbk::routing {
 class BackupRulesRouter final : public Router {
  public:
   explicit BackupRulesRouter(const topo::FatTree& ft, std::uint64_t salt = 0)
-      : ft_(&ft),
-        salt_(salt),
-        optimizer_(ft, salt),
-        structural_(EpochSource::kStructure) {}
+      : ft_(&ft), salt_(salt), optimizer_(ft, salt) {}
 
   [[nodiscard]] net::Path route(const net::Network& net, net::NodeId src,
                                 net::NodeId dst, std::uint64_t flow_id,
@@ -59,7 +58,6 @@ class BackupRulesRouter final : public Router {
   const topo::FatTree* ft_;
   std::uint64_t salt_;
   MinCongestionRouter optimizer_;
-  EpochPathCache structural_;
   std::size_t backup_hits_ = 0;
   std::size_t global_fallbacks_ = 0;
 };

@@ -52,6 +52,9 @@ net::Path F10Router::route(const Network& net, NodeId src, NodeId dst,
   const NodeId es = ft.edge_of_host(src);
   const NodeId ed = ft.edge_of_host(dst);
   if (net.node_failed(es) || net.node_failed(ed)) return {};
+  // Every path below ends with the hop ed -> dst; without it the detour
+  // search can only come back empty.
+  if (!link_live(links_, net, ed, dst)) return {};
 
   Path p{{src}, {}};
   if (!append(links_, net, p, es)) return {};

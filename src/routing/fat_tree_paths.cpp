@@ -91,6 +91,54 @@ std::vector<Path> candidate_paths(const topo::FatTree& ft, NodeId src,
   return out;
 }
 
+std::size_t structural_path_count(const topo::FatTree& ft, NodeId src,
+                                  NodeId dst) {
+  if (src == dst) return 1;
+  const NodeId es = ft.edge_of_host(src);
+  const NodeId ed = ft.edge_of_host(dst);
+  if (es == ed) return 1;
+  const auto half = static_cast<std::size_t>(ft.half_k());
+  return ft.pod_of(es) == ft.pod_of(ed) ? half : half * half;
+}
+
+Path structural_path(const topo::FatTree& ft, NodeId src, NodeId dst,
+                     std::size_t i) {
+  SBK_EXPECTS(i < structural_path_count(ft, src, dst));
+  if (src == dst) return Path{{src}, {}};
+  const Network& net = ft.network();
+  Path p;
+  p.nodes.reserve(7);
+  p.links.reserve(6);
+  p.nodes.push_back(src);
+  auto hop = [&net, &p](NodeId next) {
+    const auto link = net.find_link(p.nodes.back(), next);
+    SBK_ASSERT_MSG(link.has_value(),
+                   "structural hop missing: the fat-tree was rewired");
+    p.nodes.push_back(next);
+    p.links.push_back(*link);
+  };
+  const NodeId es = ft.edge_of_host(src);
+  const NodeId ed = ft.edge_of_host(dst);
+  hop(es);
+  if (es != ed) {
+    const int src_pod = ft.pod_of(es);
+    const int dst_pod = ft.pod_of(ed);
+    if (src_pod == dst_pod) {
+      hop(ft.agg(src_pod, static_cast<int>(i)));
+    } else {
+      const auto half = static_cast<std::size_t>(ft.half_k());
+      const int a = static_cast<int>(i / half);
+      const int c = ft.core_of_agg(src_pod, a, static_cast<int>(i % half));
+      hop(ft.agg(src_pod, a));
+      hop(ft.core(c));
+      hop(ft.agg_for_core(c, dst_pod));
+    }
+    hop(ed);
+  }
+  hop(dst);
+  return p;
+}
+
 std::size_t structural_hops(const topo::FatTree& ft, NodeId src, NodeId dst) {
   SBK_EXPECTS(src != dst);
   const NodeId es = ft.edge_of_host(src);

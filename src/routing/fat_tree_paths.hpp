@@ -17,6 +17,25 @@ namespace sbk::routing {
     const topo::FatTree& ft, net::NodeId src, net::NodeId dst,
     bool live_only);
 
+/// Size of candidate_paths(ft, src, dst, /*live_only=*/false) on the
+/// fat-tree's built wiring: 1 (src == dst, or both hosts on one edge
+/// switch), k/2 (same pod), (k/2)^2 (inter-pod).
+[[nodiscard]] std::size_t structural_path_count(const topo::FatTree& ft,
+                                                net::NodeId src,
+                                                net::NodeId dst);
+
+/// Element `i` of candidate_paths(ft, src, dst, /*live_only=*/false),
+/// built on its own from the enumeration's index order: inter-pod, up
+/// aggregation switch i / (k/2) and its (i % (k/2))-th core; same pod,
+/// aggregation switch i. Routers that hash over the structural set read
+/// one element of it, so they build that one path instead of all 64.
+/// Every hop must exist in the network (checked): a fat-tree whose
+/// wiring was changed after the build throws instead of silently
+/// hashing over a different set.
+[[nodiscard]] net::Path structural_path(const topo::FatTree& ft,
+                                        net::NodeId src, net::NodeId dst,
+                                        std::size_t i);
+
 /// Shortest-path hop count between two distinct hosts in a healthy
 /// fat-tree: 2 (same edge), 4 (same pod), 6 (inter-pod).
 [[nodiscard]] std::size_t structural_hops(const topo::FatTree& ft,

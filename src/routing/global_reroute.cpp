@@ -59,15 +59,10 @@ net::Path EcmpWithGlobalRerouteRouter::route(const net::Network& net,
                   "router is bound to a different network instance");
   // Hash over the *structural* candidate set, so the choice of an
   // unaffected flow is identical to what it would be with no failures.
-  const EpochPathCache::Ref entry = structural_.lookup(net, src, dst, [&] {
-    return candidate_paths(*ft_, src, dst, /*live_only=*/false);
-  });
-  const std::vector<net::Path>& structural = *entry;
-  if (!structural.empty()) {
-    std::uint64_t h = mix64(flow_id ^ mix64(salt_));
-    const net::Path& chosen = structural[h % structural.size()];
-    if (net::is_live_path(net, chosen)) return chosen;
-  }
+  const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
+  net::Path chosen = structural_path(
+      *ft_, src, dst, h % structural_path_count(*ft_, src, dst));
+  if (net::is_live_path(net, chosen)) return chosen;
   // The flow is affected: centrally re-place it on the least congested
   // surviving shortest path.
   return optimizer_.route(net, src, dst, flow_id, loads);

@@ -4,12 +4,13 @@
 // maximum flow count on any directed link, breaking ties by total load
 // then by hash. This is the strongest realistic rerouting a centralized
 // fat-tree control plane can do without splitting flows.
-// Both routers cache their candidate-path enumerations with epoch-based
-// invalidation (see routing/path_cache.hpp): the optimizer's live
-// candidate sets on Network::topology_version(), and the ECMP
-// front-end's structural (live_only = false) sets on
-// Network::structure_version() — the structural wiring is untouched by
-// failure flips, so that cache survives an entire failure storm.
+// The optimizer caches its live candidate sets per (src, dst) on
+// Network::topology_version() (see routing/path_cache.hpp). The ECMP
+// front-end reads one element of the structural (live_only = false)
+// set, so it builds just that element with structural_path(): the
+// same hash modulo the same count picks the same index of the same
+// enumeration order, so the chosen path is bit-identical to hashing
+// over the full set, without building or caching the rest of it.
 #pragma once
 
 #include "routing/path_cache.hpp"
@@ -47,10 +48,7 @@ class EcmpWithGlobalRerouteRouter final : public Router {
  public:
   explicit EcmpWithGlobalRerouteRouter(const topo::FatTree& ft,
                                        std::uint64_t salt = 0)
-      : ft_(&ft),
-        salt_(salt),
-        optimizer_(ft, salt),
-        structural_(EpochSource::kStructure) {}
+      : ft_(&ft), salt_(salt), optimizer_(ft, salt) {}
 
   [[nodiscard]] net::Path route(const net::Network& net, net::NodeId src,
                                 net::NodeId dst, std::uint64_t flow_id,
@@ -64,7 +62,6 @@ class EcmpWithGlobalRerouteRouter final : public Router {
   const topo::FatTree* ft_;
   std::uint64_t salt_;
   MinCongestionRouter optimizer_;
-  EpochPathCache structural_;  // keyed on structure_version
 };
 
 }  // namespace sbk::routing

@@ -9,9 +9,15 @@
 //     capacity edits, and rewiring. Use for live-filtered results
 //     (candidate_paths with live_only = true).
 //   * net::Network::structure_version() — changes only on rewiring
-//     (add_link / retarget_link). Use for structural results
-//     (live_only = false candidate sets, neighbor-link lookups), which
-//     then survive failure churn untouched.
+//     (add_link / retarget_link). Use for structural results such as
+//     neighbor-link lookups, which then survive failure churn
+//     untouched.
+//
+// Structural (live_only = false) candidate sets are not cached at all:
+// the routers that hash over them read one element per route, and
+// structural_path() (routing/fat_tree_paths.hpp) builds element i of
+// the enumeration directly. Same count, same index order, so the pick
+// is bit-identical to indexing a cached set.
 //
 // Each cache is bound to one EpochSource at construction and reads that
 // counter itself on every lookup. The earlier API took a raw epoch value

@@ -84,13 +84,9 @@ net::Path SpiderProtectRouter::route(const Network& net, NodeId src,
   if (src == dst) return Path{{src}, {}};
   if (net.node_failed(src) || net.node_failed(dst)) return {};
 
-  const EpochPathCache::Ref entry = structural_.lookup(net, src, dst, [&] {
-    return candidate_paths(*ft_, src, dst, /*live_only=*/false);
-  });
-  const std::vector<Path>& candidates = *entry;
-  if (candidates.empty()) return {};
   const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
-  const Path& primary = candidates[h % candidates.size()];
+  const Path primary = structural_path(
+      *ft_, src, dst, h % structural_path_count(*ft_, src, dst));
 
   Path out{{src}, {}};
   bool failed_over = false;

@@ -29,15 +29,17 @@
 //   * A dead destination (or a host whose only link died) is
 //     unrecoverable.
 //
-// The primary candidate sets live in a structure-epoch EpochPathCache
-// (identical sets to EcmpWithGlobalRerouteRouter's front-end, so
-// unaffected flows take exactly the same paths as the reactive
-// baselines — the comparison isolates the protection mechanism).
+// The primary is structural_path() at the hashed index — the same
+// selection as EcmpWithGlobalRerouteRouter's front-end, so unaffected
+// flows take exactly the same paths as the reactive baselines and the
+// comparison isolates the protection mechanism. Building the one
+// hashed element is bit-identical to hashing over the enumerated
+// structural set (same count, same index order), and keeps no per-pair
+// cache.
 #pragma once
 
 #include <cstdint>
 
-#include "routing/path_cache.hpp"
 #include "routing/router.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -52,10 +54,7 @@ class SpiderProtectRouter final : public Router {
   explicit SpiderProtectRouter(const topo::FatTree& ft,
                                std::uint64_t salt = 0,
                                int max_detour_hops = 4)
-      : ft_(&ft),
-        salt_(salt),
-        max_detour_hops_(max_detour_hops),
-        structural_(EpochSource::kStructure) {}
+      : ft_(&ft), salt_(salt), max_detour_hops_(max_detour_hops) {}
 
   [[nodiscard]] net::Path route(const net::Network& net, net::NodeId src,
                                 net::NodeId dst, std::uint64_t flow_id,
@@ -78,7 +77,6 @@ class SpiderProtectRouter final : public Router {
   const topo::FatTree* ft_;
   std::uint64_t salt_;
   int max_detour_hops_;
-  EpochPathCache structural_;
   std::size_t failovers_ = 0;
   std::size_t detour_misses_ = 0;
 };

@@ -11,7 +11,12 @@ namespace sbk::sim {
 
 namespace {
 constexpr Seconds kTimeEps = 1e-12;
+
+/// Directed-link slot, laid out as routing::LinkLoads lays it out.
+std::size_t slot_of(net::DirectedLink dl) {
+  return dl.link.index() * 2 + (dl.forward ? 0 : 1);
 }
+}  // namespace
 
 FluidSimulator::FluidSimulator(net::Network& net, routing::Router& router,
                                SimConfig cfg)
@@ -19,6 +24,10 @@ FluidSimulator::FluidSimulator(net::Network& net, routing::Router& router,
       loads_(net.link_count()) {
   SBK_EXPECTS(cfg_.unit_bytes_per_second > 0.0);
   SBK_EXPECTS(cfg_.horizon > 0.0);
+  if (equal_share()) {
+    slot_flows_.resize(net.link_count() * 2);
+    slot_marked_.assign(net.link_count() * 2, 0);
+  }
 }
 
 void FluidSimulator::add_flow(const FlowSpec& flow) {
@@ -27,8 +36,10 @@ void FluidSimulator::add_flow(const FlowSpec& flow) {
   SBK_EXPECTS(flow.start >= 0.0);
   FlowState st;
   st.spec = flow;
-  st.remaining_bytes = flow.bytes;
   flows_.push_back(std::move(st));
+  remaining_.push_back(flow.bytes);
+  rate_.push_back(0.0);
+  rated_round_.push_back(0);
 }
 
 void FluidSimulator::add_flows(std::span<const FlowSpec> flows) {
@@ -59,11 +70,9 @@ void FluidSimulator::try_route(std::size_t idx, Seconds now,
   }
   f.path = std::move(path);
   f.dlinks = f.path.directed_links(*net_);
-  for (net::DirectedLink dl : f.dlinks) loads_.add(dl, 1.0);
+  attach_links(idx);
   f.stalled = false;
   f.active = true;
-  rates_dirty_ = true;
-  if (use_incremental()) f.alloc_slot = inc_.add_flow(f.dlinks);
   if (is_reroute) {
     ++f.reroutes;
     if (recorder_ != nullptr && recorder_->enabled()) {
@@ -76,7 +85,7 @@ void FluidSimulator::try_route(std::size_t idx, Seconds now,
 void FluidSimulator::admit(std::size_t idx, Seconds now) {
   FlowState& f = flows_[idx];
   if (f.spec.src == f.spec.dst ||
-      f.remaining_bytes <= cfg_.completion_epsilon_bytes) {
+      remaining_[idx] <= cfg_.completion_epsilon_bytes) {
     // Local or empty transfer: completes immediately at fluid granularity.
     f.path = net::Path{{f.spec.src}, {}};
     f.stalled = false;
@@ -95,34 +104,93 @@ void FluidSimulator::finish_flow(std::size_t idx, Seconds now) {
   f.done = true;
   f.active = false;
   f.stalled = false;
-  f.remaining_bytes = 0.0;
+  remaining_[idx] = 0.0;
+  detach_links(idx);
+  rate_[idx] = 0.0;
+  f.finish = now;
+}
+
+void FluidSimulator::attach_links(std::size_t idx) {
+  FlowState& f = flows_[idx];
+  for (net::DirectedLink dl : f.dlinks) loads_.add(dl, 1.0);
+  rates_dirty_ = true;
+  if (use_incremental()) f.alloc_slot = inc_.add_flow(f.dlinks);
+  if (!equal_share()) return;
+  // A link-less flow sits on no slot, so no mark would ever rate it.
+  if (f.dlinks.empty()) rerate_all_ = true;
+  f.slot_pos.resize(f.dlinks.size());
+  for (std::size_t hop = 0; hop < f.dlinks.size(); ++hop) {
+    const std::size_t s = slot_of(f.dlinks[hop]);
+    std::vector<SlotMember>& members = slot_flows_[s];
+    f.slot_pos[hop] = static_cast<std::uint32_t>(members.size());
+    members.push_back(SlotMember{static_cast<std::uint32_t>(idx),
+                                 static_cast<std::uint32_t>(hop)});
+    mark_slot(s);
+  }
+}
+
+void FluidSimulator::detach_links(std::size_t idx) {
+  FlowState& f = flows_[idx];
+  for (net::DirectedLink dl : f.dlinks) loads_.add(dl, -1.0);
   if (f.alloc_slot != IncrementalMaxMin::kNoSlot) {
     inc_.remove_flow(f.alloc_slot);
     f.alloc_slot = IncrementalMaxMin::kNoSlot;
   }
-  for (net::DirectedLink dl : f.dlinks) loads_.add(dl, -1.0);
+  if (equal_share()) {
+    // Swap-erase this flow's entry from each slot list, re-pointing the
+    // entry moved into its place.
+    for (std::size_t hop = 0; hop < f.dlinks.size(); ++hop) {
+      const std::size_t s = slot_of(f.dlinks[hop]);
+      std::vector<SlotMember>& members = slot_flows_[s];
+      const std::uint32_t pos = f.slot_pos[hop];
+      const SlotMember moved = members.back();
+      members[pos] = moved;
+      flows_[moved.flow].slot_pos[moved.hop] = pos;
+      members.pop_back();
+      mark_slot(s);
+    }
+  }
   f.dlinks.clear();
-  f.rate = 0.0;
-  f.finish = now;
+}
+
+void FluidSimulator::mark_slot(std::size_t slot) {
+  if (slot_marked_[slot] != 0) return;
+  slot_marked_[slot] = 1;
+  marked_slots_.push_back(static_cast<std::uint32_t>(slot));
+}
+
+double FluidSimulator::equal_share_rate(std::size_t idx) const {
+  // min over the path of capacity / flow-count; loads_ holds the
+  // per-directed-link flow counts.
+  double rate = std::numeric_limits<double>::infinity();
+  for (net::DirectedLink dl : flows_[idx].dlinks) {
+    double share =
+        net_->link(dl.link).capacity / std::max(1.0, loads_.get(dl));
+    rate = std::min(rate, share);
+  }
+  return rate;
 }
 
 void FluidSimulator::recompute_rates(Seconds now) {
   obs::ScopedSpan span(recorder_, "fluidsim", "max_min_solve", now);
   ++allocation_rounds_;
   rates_dirty_ = false;
-  if (cfg_.allocation == AllocationModel::kPerLinkEqualShare) {
-    // rate = min over the path of capacity / flow-count. The loads_
-    // structure already tracks per-directed-link flow counts.
-    for (std::size_t idx : active_) {
-      FlowState& f = flows_[idx];
-      double rate = std::numeric_limits<double>::infinity();
-      for (net::DirectedLink dl : f.dlinks) {
-        double share = net_->link(dl.link).capacity /
-                       std::max(1.0, loads_.get(dl));
-        rate = std::min(rate, share);
+  if (equal_share()) {
+    if (rerate_all_) {
+      rerate_all_ = false;
+      for (std::size_t idx : active_) rate_[idx] = equal_share_rate(idx);
+    } else {
+      // Only flows on a slot whose count moved can have a new rate.
+      for (std::uint32_t s : marked_slots_) {
+        for (const SlotMember& m : slot_flows_[s]) {
+          if (rated_round_[m.flow] == allocation_rounds_) continue;
+          rated_round_[m.flow] = allocation_rounds_;
+          rate_[m.flow] = equal_share_rate(m.flow);
+        }
       }
-      f.rate = rate;
     }
+    for (std::uint32_t s : marked_slots_) slot_marked_[s] = 0;
+    marked_slots_.clear();
     return;
   }
   if (use_incremental()) {
@@ -130,8 +198,7 @@ void FluidSimulator::recompute_rates(Seconds now) {
     // other active flow keeps its previous (still-valid) rate.
     inc_.solve();
     for (std::size_t idx : active_) {
-      FlowState& f = flows_[idx];
-      f.rate = inc_.rate(f.alloc_slot);
+      rate_[idx] = inc_.rate(flows_[idx].alloc_slot);
     }
     return;
   }
@@ -144,16 +211,15 @@ void FluidSimulator::recompute_rates(Seconds now) {
   }
   solver_.solve_into(rates_);
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    flows_[active_[i]].rate = rates_[i];
+    rate_[active_[i]] = rates_[i];
   }
 }
 
 void FluidSimulator::fill_directed_utilization(std::vector<double>& used) const {
   used.assign(net_->link_count() * 2, 0.0);
   for (std::size_t idx : active_) {
-    const FlowState& f = flows_[idx];
-    for (net::DirectedLink dl : f.dlinks) {
-      used[dl.link.index() * 2 + (dl.forward ? 0 : 1)] += f.rate;
+    for (net::DirectedLink dl : flows_[idx].dlinks) {
+      used[slot_of(dl)] += rate_[idx];
     }
   }
 }
@@ -161,7 +227,7 @@ void FluidSimulator::fill_directed_utilization(std::vector<double>& used) const 
 double FluidSimulator::mean_active_rate() const {
   if (active_.empty()) return 0.0;
   double sum = 0.0;
-  for (std::size_t idx : active_) sum += flows_[idx].rate;
+  for (std::size_t idx : active_) sum += rate_[idx];
   return sum / static_cast<double>(active_.size());
 }
 
@@ -200,14 +266,9 @@ void FluidSimulator::handle_topology_change(Seconds now) {
   for (std::size_t idx : active_) {
     FlowState& f = flows_[idx];
     if (net::is_live_path(*net_, f.path)) continue;
-    for (net::DirectedLink dl : f.dlinks) loads_.add(dl, -1.0);
-    f.dlinks.clear();
+    detach_links(idx);
     f.active = false;
     rates_dirty_ = true;
-    if (f.alloc_slot != IncrementalMaxMin::kNoSlot) {
-      inc_.remove_flow(f.alloc_slot);
-      f.alloc_slot = IncrementalMaxMin::kNoSlot;
-    }
     if (cfg_.reroute_on_path_failure) {
       try_route(idx, now, /*is_reroute=*/true);
     } else {
@@ -230,11 +291,9 @@ void FluidSimulator::handle_topology_change(Seconds now) {
       // Path-pinned recovery: resume on the original path when live.
       if (net::is_live_path(*net_, f.path)) {
         f.dlinks = f.path.directed_links(*net_);
-        for (net::DirectedLink dl : f.dlinks) loads_.add(dl, 1.0);
+        attach_links(idx);
         f.stalled = false;
         f.active = true;
-        rates_dirty_ = true;
-        if (use_incremental()) f.alloc_slot = inc_.add_flow(f.dlinks);
         active_.push_back(idx);
       }
       continue;
@@ -294,10 +353,10 @@ std::vector<FlowResult> FluidSimulator::run() {
         ++recompute_skips_;
       }
       for (std::size_t idx : active_) {
-        const FlowState& f = flows_[idx];
-        if (f.rate > 0.0) {
+        const double rate = rate_[idx];
+        if (rate > 0.0) {
           Seconds t_done =
-              now + (f.remaining_bytes / cfg_.unit_bytes_per_second) / f.rate;
+              now + (remaining_[idx] / cfg_.unit_bytes_per_second) / rate;
           t_next = std::min(t_next, t_done);
         }
       }
@@ -309,36 +368,29 @@ std::vector<FlowResult> FluidSimulator::run() {
     // rates that governed that interval are still in place.
     if (telemetry_ != nullptr) telemetry_->advance_to(t_next);
 
-    // Advance fluid state.
-    Seconds dt = t_next - now;
-    if (dt > 0.0 && !active_.empty()) {
-      for (std::size_t idx : active_) {
-        FlowState& f = flows_[idx];
-        f.remaining_bytes -= f.rate * cfg_.unit_bytes_per_second * dt;
-      }
-    }
+    // 1) Advance fluid state to t_next and complete the flows due then,
+    // one flow at a time (a completion touches only its own entries).
+    // This runs before the horizon check: a flow whose remaining volume
+    // drains exactly at the horizon has completed at that instant and
+    // must not be reported unfinished.
+    const Seconds dt = t_next - now;
     now = t_next;
-
-    // 1) completions due at t_next. This runs before the horizon check:
-    // a flow whose remaining volume drains exactly at the horizon has
-    // completed at that instant and must not be reported unfinished.
-    std::vector<std::size_t> still_active;
-    still_active.reserve(active_.size());
-    bool any_completion = false;
+    still_active_.clear();
     for (std::size_t idx : active_) {
-      FlowState& f = flows_[idx];
-      if (f.remaining_bytes <= cfg_.completion_epsilon_bytes ||
-          (f.rate > 0.0 &&
-           f.remaining_bytes / cfg_.unit_bytes_per_second <=
-               eps_units + f.rate * kTimeEps)) {
+      const double rate = rate_[idx];
+      if (dt > 0.0) {
+        remaining_[idx] -= rate * cfg_.unit_bytes_per_second * dt;
+      }
+      const double remaining = remaining_[idx];
+      if (remaining <= cfg_.completion_epsilon_bytes ||
+          (rate > 0.0 && remaining / cfg_.unit_bytes_per_second <=
+                             eps_units + rate * kTimeEps)) {
         finish_flow(idx, now);
-        any_completion = true;
       } else {
-        still_active.push_back(idx);
+        still_active_.push_back(idx);
       }
     }
-    active_.swap(still_active);
-    (void)any_completion;
+    active_.swap(still_active_);
     if (now >= cfg_.horizon) break;
 
     // 2) arrivals due now
@@ -366,6 +418,7 @@ std::vector<FlowResult> FluidSimulator::run() {
       // the actions that mutated something (no-op actions stay clean).
       if (net_->topology_version() != topo_before) {
         rates_dirty_ = true;
+        rerate_all_ = true;  // capacities may have moved under any flow
         if (use_incremental()) inc_.note_topology_change();
       }
       handle_topology_change(now);
@@ -375,7 +428,8 @@ std::vector<FlowResult> FluidSimulator::run() {
   // Collect results.
   std::vector<FlowResult> results;
   results.reserve(flows_.size());
-  for (FlowState& f : flows_) {
+  for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
+    const FlowState& f = flows_[idx];
     FlowResult r;
     r.spec = f.spec;
     r.path_hops = f.path.hops();
@@ -386,10 +440,10 @@ std::vector<FlowResult> FluidSimulator::run() {
       r.bytes_remaining = 0.0;
     } else if (f.stalled) {
       r.outcome = FlowOutcome::kStalledForever;
-      r.bytes_remaining = f.remaining_bytes;
+      r.bytes_remaining = remaining_[idx];
     } else {
       r.outcome = FlowOutcome::kUnfinished;
-      r.bytes_remaining = f.remaining_bytes;
+      r.bytes_remaining = remaining_[idx];
     }
     results.push_back(std::move(r));
   }

@@ -4,6 +4,18 @@
 // arrival, completion, or topology change the max-min allocation is
 // recomputed and the next event horizon derived.
 //
+// Under per-link equal share a flow's rate is min over its directed
+// links of capacity / flow count, so it can move only when the count
+// on one of its links moves or a capacity changes. The simulator keeps
+// the active flows of every directed-link slot and marks a slot
+// whenever its count moves (arrival, completion, path death, reroute,
+// path-pinned resume). A recompute re-rates only the flows on marked
+// slots; after a topology action that bumps
+// Network::topology_version() it re-rates every active flow, because
+// capacities may have changed. Every other flow's rate is the value the
+// same expression would give again, so outputs are bit-identical to
+// re-rating everything on every event.
+//
 // Failure recovery policies plug in two ways:
 //   * the Router decides paths (rerouting baselines);
 //   * scheduled actions mutate the Network mid-run (failure injection and
@@ -11,6 +23,7 @@
 //     rerouted == original paths).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -137,10 +150,11 @@ class FluidSimulator {
  private:
   struct FlowState {
     FlowSpec spec;
-    double remaining_bytes = 0.0;
     net::Path path;
     std::vector<net::DirectedLink> dlinks;
-    double rate = 0.0;  // capacity units / second
+    /// Under equal share, this flow's index in slot_flows_ of each of
+    /// its dlinks (parallel to dlinks) while it holds them.
+    std::vector<std::uint32_t> slot_pos;
     Seconds finish = 0.0;
     bool active = false;
     bool stalled = false;
@@ -148,6 +162,12 @@ class FluidSimulator {
     std::size_t reroutes = 0;
     /// Registration in the incremental allocator while active.
     IncrementalMaxMin::FlowSlot alloc_slot = IncrementalMaxMin::kNoSlot;
+  };
+  /// One active flow on a directed-link slot: the flow and the hop of
+  /// its path that crosses the slot.
+  struct SlotMember {
+    std::uint32_t flow = 0;
+    std::uint32_t hop = 0;
   };
   struct Action {
     Seconds when;
@@ -157,6 +177,13 @@ class FluidSimulator {
   void admit(std::size_t idx, Seconds now);
   void try_route(std::size_t idx, Seconds now, bool is_reroute);
   void finish_flow(std::size_t idx, Seconds now);
+  /// Puts flow idx on its dlinks (loads, allocator, slot lists) and
+  /// releases them; every change of a link's flow count goes through
+  /// these two.
+  void attach_links(std::size_t idx);
+  void detach_links(std::size_t idx);
+  void mark_slot(std::size_t slot);
+  [[nodiscard]] double equal_share_rate(std::size_t idx) const;
   void recompute_rates(Seconds now);
   void handle_topology_change(Seconds now);
   void fill_directed_utilization(std::vector<double>& used) const;
@@ -165,9 +192,22 @@ class FluidSimulator {
   routing::Router* router_;
   SimConfig cfg_;
   std::vector<FlowState> flows_;
+  /// Hot per-flow state, indexed like flows_ and kept out of FlowState
+  /// so the per-event passes stream two dense arrays.
+  std::vector<double> remaining_;  // bytes
+  std::vector<double> rate_;       // capacity units / second
   std::vector<Action> actions_;
   routing::LinkLoads loads_;
   std::vector<std::size_t> active_;
+  std::vector<std::size_t> still_active_;  // scratch for the completion pass
+  /// Equal share only: active flows per directed-link slot, the slots
+  /// whose count moved since the last recompute, and whether the next
+  /// recompute must re-rate every active flow instead.
+  std::vector<std::vector<SlotMember>> slot_flows_;
+  std::vector<std::uint8_t> slot_marked_;
+  std::vector<std::uint32_t> marked_slots_;
+  std::vector<std::size_t> rated_round_;  // per flow: last re-rate round
+  bool rerate_all_ = true;
   std::size_t allocation_rounds_ = 0;
   std::size_t recompute_skips_ = 0;
   std::size_t events_processed_ = 0;
@@ -183,6 +223,9 @@ class FluidSimulator {
   [[nodiscard]] bool use_incremental() const noexcept {
     return cfg_.allocation == AllocationModel::kMaxMinFair &&
            cfg_.incremental_max_min;
+  }
+  [[nodiscard]] bool equal_share() const noexcept {
+    return cfg_.allocation == AllocationModel::kPerLinkEqualShare;
   }
   MaxMinSolver solver_;        // scratch reused across allocation events
   std::vector<double> rates_;  // scratch: per-active-flow solver output

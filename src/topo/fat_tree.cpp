@@ -203,17 +203,21 @@ net::NodeId FatTree::agg_for_core(int core_index, int pod) const {
 }
 
 std::vector<int> FatTree::cores_of_agg(int pod, int j) const {
-  SBK_EXPECTS(pod >= 0 && pod < pods() && j >= 0 && j < half_k());
   const int half = half_k();
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(half));
-  bool transpose = (params_.wiring == Wiring::kAb) && (pod % 2 == 1);
-  for (int i = 0; i < half; ++i) {
-    // Plain (type A): row j -> cores j*half + i.
-    // Transposed (type B): column j -> cores i*half + j.
-    out.push_back(transpose ? i * half + j : j * half + i);
-  }
+  for (int i = 0; i < half; ++i) out.push_back(core_of_agg(pod, j, i));
   return out;
+}
+
+int FatTree::core_of_agg(int pod, int j, int i) const {
+  SBK_EXPECTS(pod >= 0 && pod < pods() && j >= 0 && j < half_k());
+  const int half = half_k();
+  SBK_EXPECTS(i >= 0 && i < half);
+  // Plain (type A): row j -> cores j*half + i.
+  // Transposed (type B): column j -> cores i*half + j.
+  const bool transpose = (params_.wiring == Wiring::kAb) && (pod % 2 == 1);
+  return transpose ? i * half + j : j * half + i;
 }
 
 net::LinkId FatTree::host_link(net::NodeId h) const {

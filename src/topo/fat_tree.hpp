@@ -109,6 +109,8 @@ class FatTree {
   [[nodiscard]] net::NodeId agg_for_core(int core_index, int pod) const;
   /// Core indices adjacent to aggregation switch (pod, j), ascending.
   [[nodiscard]] std::vector<int> cores_of_agg(int pod, int j) const;
+  /// cores_of_agg(pod, j)[i], without building the vector.
+  [[nodiscard]] int core_of_agg(int pod, int j, int i) const;
 
   /// Link between a host and its edge switch.
   [[nodiscard]] net::LinkId host_link(net::NodeId host) const;

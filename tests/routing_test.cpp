@@ -16,8 +16,10 @@
 #include "routing/global_reroute.hpp"
 #include "routing/path_cache.hpp"
 #include "routing/spider.hpp"
+#include "sharebackup/fabric.hpp"
 #include "sweep/sweep.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/assert.hpp"
 
 namespace sbk::routing {
 namespace {
@@ -638,6 +640,65 @@ TEST(StructuralHops, Classification) {
   EXPECT_EQ(structural_hops(ft, ft.host(0, 0, 0), ft.host(0, 0, 1)), 2u);
   EXPECT_EQ(structural_hops(ft, ft.host(0, 0, 0), ft.host(0, 1, 0)), 4u);
   EXPECT_EQ(structural_hops(ft, ft.host(0, 0, 0), ft.host(2, 1, 0)), 6u);
+}
+
+TEST(StructuralPath, MatchesEnumeratedCandidates) {
+  // The three structural-hash routers build the hashed element alone;
+  // they stay bit-identical to hashing over the enumerated set only if
+  // element i and the count agree with candidate_paths for every pair.
+  auto check_all_pairs = [](const FatTree& ft) {
+    std::size_t cases = 0;
+    for (int s = 0; s < ft.host_count(); ++s) {
+      for (int d = 0; d < ft.host_count(); ++d) {
+        const NodeId src = ft.host(s);
+        const NodeId dst = ft.host(d);
+        const std::vector<Path> all =
+            candidate_paths(ft, src, dst, /*live_only=*/false);
+        ASSERT_EQ(structural_path_count(ft, src, dst), all.size())
+            << "pair " << s << " -> " << d;
+        for (std::size_t i = 0; i < all.size(); ++i) {
+          ASSERT_EQ(structural_path(ft, src, dst, i), all[i])
+              << "pair " << s << " -> " << d << ", index " << i;
+          ++cases;
+        }
+        EXPECT_THROW((void)structural_path(ft, src, dst, all.size()),
+                     ContractViolation);
+      }
+    }
+    EXPECT_GT(cases, 0u);
+  };
+  for (int k : {4, 6, 8}) {
+    for (Wiring wiring : {Wiring::kPlain, Wiring::kAb}) {
+      for (int hosts_per_edge : {1, k / 2}) {
+        SCOPED_TRACE(testing::Message()
+                     << "k=" << k << " wiring="
+                     << (wiring == Wiring::kAb ? "ab" : "plain")
+                     << " hosts_per_edge=" << hosts_per_edge);
+        check_all_pairs(FatTree(FatTreeParams{
+            .k = k, .wiring = wiring, .hosts_per_edge = hosts_per_edge}));
+      }
+    }
+  }
+  // A ShareBackup fabric adds backup switches and circuit links to the
+  // same network; the fat-tree's own hops must still resolve first.
+  sharebackup::FabricParams fp;
+  fp.fat_tree = FatTreeParams{.k = 6};
+  const sharebackup::Fabric fabric(fp);
+  check_all_pairs(fabric.fat_tree());
+}
+
+TEST(StructuralPath, RewiredFatTreeThrowsInsteadOfHashingAnotherSet) {
+  FatTree ft(FatTreeParams{.k = 4});
+  const NodeId src = ft.host(0, 0, 0);
+  const NodeId dst = ft.host(0, 1, 0);  // same pod: one path per agg
+  ASSERT_EQ(structural_path(ft, src, dst, 0).nodes[2], ft.agg(0, 0));
+  // Move edge(0,0)'s uplink from agg(0,0) to agg(0,1): the enumeration
+  // would silently drop index 0 and shift the others.
+  const net::LinkId uplink =
+      *ft.network().find_link(ft.edge(0, 0), ft.agg(0, 0));
+  ft.network().retarget_link(uplink, ft.agg(0, 0), ft.agg(0, 1));
+  EXPECT_EQ(candidate_paths(ft, src, dst, /*live_only=*/false).size(), 1u);
+  EXPECT_THROW((void)structural_path(ft, src, dst, 0), ContractViolation);
 }
 
 }  // namespace

@@ -7,18 +7,26 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
 #include "net/algo.hpp"
+#include "routing/backup_rules.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/f10.hpp"
+#include "routing/global_reroute.hpp"
+#include "routing/spider.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/failure_analysis.hpp"
 #include "sim/fluid_sim.hpp"
 #include "sim/max_min.hpp"
+#include "sweep/sweep.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "workload/coflow_gen.hpp"
 
 namespace sbk::sim {
 namespace {
@@ -615,6 +623,138 @@ TEST(FluidSim, EqualShareNeverExceedsLinkCapacity) {
     // With unit capacities, no flow can beat 1 unit of rate.
     EXPECT_GE(r.fct(), 4.0 - 1e-9);
   }
+}
+
+TEST(FluidSim, OutcomesMatchPinnedDigest) {
+  // The tests above check analytically solvable cases within one build;
+  // this one pins every flow outcome of fig1c-style runs across builds.
+  // A change in which flows get re-rated after an event, in how a
+  // router picks its structural path, or in when F10 gives up moves
+  // some flow's finish time and with it the digest. A deliberate
+  // behaviour change re-records the constant.
+  constexpr int kK = 8;
+  constexpr Seconds kRepair = 12.0;
+  auto fat_tree = [](topo::Wiring wiring) {
+    topo::FatTreeParams p{.k = kK, .wiring = wiring};
+    p.hosts_per_edge = 1;
+    p.host_link_capacity = 10.0 * (kK / 2);  // 10:1 oversubscribed
+    return std::make_unique<topo::FatTree>(p);
+  };
+  std::vector<FlowSpec> flows;
+  {
+    const auto ft = fat_tree(topo::Wiring::kPlain);
+    workload::CoflowWorkloadParams wp;
+    wp.racks = ft->host_count();
+    wp.coflows = 40;
+    wp.duration = 24.0;
+    wp.width_lognorm_mu = 1.2;
+    wp.reducer_bytes_xm = 2e8;
+    wp.reducer_bytes_cap = 1e10;
+    Rng rng(20170015);
+    flows = workload::expand_to_flows(*ft, workload::generate_coflows(wp, rng));
+  }
+  ASSERT_GT(flows.size(), 100u);
+
+  enum class Arch { kGlobalReroute, kSpider, kBackupRules, kF10 };
+  auto make_router = [](Arch arch, const topo::FatTree& ft)
+      -> std::unique_ptr<routing::Router> {
+    switch (arch) {
+      case Arch::kGlobalReroute:
+        return std::make_unique<routing::EcmpWithGlobalRerouteRouter>(ft, 1);
+      case Arch::kSpider:
+        return std::make_unique<routing::SpiderProtectRouter>(ft, 1);
+      case Arch::kBackupRules:
+        return std::make_unique<routing::BackupRulesRouter>(ft, 1);
+      case Arch::kF10:
+        break;
+    }
+    return std::make_unique<routing::F10Router>(ft, 1);
+  };
+  using Schedule = std::function<void(const topo::FatTree&, FluidSimulator&)>;
+  auto fail_node_until_repair = [](auto victim_of) -> Schedule {
+    return [victim_of](const topo::FatTree& ft, FluidSimulator& sim) {
+      const NodeId v = victim_of(ft);
+      sim.at(0.0, [v](Network& n) { n.fail_node(v); });
+      sim.at(kRepair, [v](Network& n) { n.restore_node(v); });
+    };
+  };
+  auto fail_link_until_repair = [](auto victim_of) -> Schedule {
+    return [victim_of](const topo::FatTree& ft, FluidSimulator& sim) {
+      const net::LinkId v = victim_of(ft);
+      sim.at(0.0, [v](Network& n) { n.fail_link(v); });
+      sim.at(kRepair, [v](Network& n) { n.restore_link(v); });
+    };
+  };
+  const std::vector<Schedule> failures = {
+      fail_node_until_repair(
+          [](const topo::FatTree& ft) { return ft.edge(1, 2); }),
+      fail_link_until_repair(
+          [](const topo::FatTree& ft) { return ft.host_link(ft.host(5)); }),
+      fail_link_until_repair([](const topo::FatTree& ft) {
+        return *ft.network().find_link(ft.edge(2, 1), ft.agg(2, 0));
+      }),
+      fail_link_until_repair([](const topo::FatTree& ft) {
+        return *ft.network().find_link(ft.core(3), ft.agg_for_core(3, 4));
+      }),
+  };
+
+  std::uint64_t digest = 0;
+  std::size_t runs = 0;
+  auto run = [&](Arch arch, const SimConfig& cfg, const Schedule& schedule) {
+    const auto ft = fat_tree(arch == Arch::kF10 ? topo::Wiring::kAb
+                                                : topo::Wiring::kPlain);
+    const auto router = make_router(arch, *ft);
+    FluidSimulator sim(ft->network(), *router, cfg);
+    sim.add_flows(flows);
+    schedule(*ft, sim);
+    for (const FlowResult& r : sim.run()) {
+      for (std::uint64_t v :
+           {static_cast<std::uint64_t>(r.outcome),
+            std::bit_cast<std::uint64_t>(r.finish),
+            std::bit_cast<std::uint64_t>(r.bytes_remaining),
+            static_cast<std::uint64_t>(r.reroutes),
+            static_cast<std::uint64_t>(r.path_hops)}) {
+        digest = sweep::splitmix64(digest ^ v);
+      }
+    }
+    ++runs;
+  };
+
+  SimConfig equal_share;
+  equal_share.unit_bytes_per_second = 3.125e8;  // 1 unit = 2.5 Gbps
+  equal_share.allocation = AllocationModel::kPerLinkEqualShare;
+  for (const Schedule& failure : failures) {
+    for (Arch arch : {Arch::kGlobalReroute, Arch::kSpider, Arch::kBackupRules,
+                      Arch::kF10}) {
+      run(arch, equal_share, failure);
+    }
+  }
+  // A capacity drain and restore: no path dies, every rate on the
+  // drained link must still follow the new capacity.
+  run(Arch::kGlobalReroute, equal_share,
+      [](const topo::FatTree& ft, FluidSimulator& sim) {
+        const net::LinkId l =
+            *ft.network().find_link(ft.edge(0, 0), ft.agg(0, 0));
+        const double cap = ft.network().link(l).capacity;
+        sim.at(3.0, [l](Network& n) { n.set_link_capacity(l, 0.25); });
+        sim.at(9.0, [l, cap](Network& n) { n.set_link_capacity(l, cap); });
+      });
+  // ShareBackup's pinned-path model: flows on the dead aggregation
+  // switch stall and resume on their original path after the repair.
+  SimConfig pinned = equal_share;
+  pinned.reroute_on_path_failure = false;
+  run(Arch::kGlobalReroute, pinned,
+      [](const topo::FatTree& ft, FluidSimulator& sim) {
+        const NodeId v = ft.agg(3, 1);
+        sim.at(2.0, [v](Network& n) { n.fail_node(v); });
+        sim.at(7.0, [v](Network& n) { n.restore_node(v); });
+      });
+  SimConfig max_min = equal_share;
+  max_min.allocation = AllocationModel::kMaxMinFair;
+  run(Arch::kGlobalReroute, max_min, failures[3]);
+
+  EXPECT_EQ(runs, 19u);
+  EXPECT_EQ(digest, 0x090bf344d49400d2ULL) << std::hex << "digest 0x" << digest;
 }
 
 // --- failure impact analysis -------------------------------------------------

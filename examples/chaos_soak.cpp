@@ -18,8 +18,10 @@
 // --slo evaluates a recovery-latency SLO per scenario (paper target:
 // sub-millisecond recovery) with burn-rate alerting, prints the merged
 // attainment/alert totals, and --health=FILE dumps the end-state
-// health snapshots as a JSON array. --slo is exclusive with --trace /
-// --telemetry (the soak overloads are separate).
+// health snapshots as a JSON array (implies --slo). The observers
+// combine: with --slo and --trace the SLO monitor's instants land in
+// the trace too.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -75,48 +77,53 @@ int main(int argc, char** argv) {
   cfg.k = static_cast<int>(*k);
   cfg.backups_per_group = static_cast<int>(*backups);
   cfg.threads = static_cast<std::size_t>(*threads);
-  cfg.obs.trace = !trace_path.empty() || !telemetry_path.empty();
-  cfg.obs.slo = slo;
-  if (cfg.obs.trace && cfg.obs.slo) {
-    return usage("--slo/--health cannot be combined with --trace/--telemetry");
-  }
-
   std::cout << "running " << cfg.scenarios << " chaos scenarios (seed "
             << cfg.master_seed << ", k=" << cfg.k << ", n="
             << cfg.backups_per_group << ")...\n";
-  sbk::faultinject::ChaosSoakReport report;
-  if (cfg.obs.trace) {
-    // Merged recorder: big enough to keep every scenario's events (the
-    // per-scenario rings already bound each contribution).
-    sbk::obs::FlightRecorder trace(
-        /*enabled=*/true, cfg.obs.trace_capacity * cfg.scenarios);
-    sbk::obs::TelemetryTable telemetry(/*enabled=*/true);
-    report = sbk::faultinject::run_chaos_soak(cfg, trace, telemetry);
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      trace.write_trace_json(out);
-      if (!out.good()) {
-        std::cerr << "failed to write trace to " << trace_path << "\n";
-        return 2;
-      }
-      std::cout << "wrote " << trace.events().size() << " trace events to "
-                << trace_path << " (load in chrome://tracing)\n";
+  // --trace implies per-scenario telemetry sampling and vice versa. The
+  // merged recorder is big enough to keep every scenario's events (the
+  // per-scenario rings already bound each contribution); its storage is
+  // reserved only on the first merged event.
+  const bool traced = !trace_path.empty() || !telemetry_path.empty();
+  sbk::obs::FlightRecorder trace(
+      /*enabled=*/true, sbk::obs::FlightRecorder::kDefaultCapacity *
+                            std::max<std::size_t>(cfg.scenarios, 1));
+  sbk::obs::TelemetryTable telemetry;
+  sbk::obs::slo::SloMonitor monitor = sbk::faultinject::make_chaos_slo(cfg);
+  sbk::obs::slo::HealthLog health;
+  sbk::sweep::ObservedSinks sinks;
+  if (traced) {
+    sinks.trace = &trace;
+    sinks.telemetry = &telemetry;
+  }
+  if (slo) {
+    sinks.slo = &monitor;
+    sinks.health = &health;
+  }
+  const sbk::faultinject::ChaosSoakReport report =
+      sbk::faultinject::run_chaos_soak(cfg, sinks);
+
+  if (!trace_path.empty()) {
+    std::ofstream out(trace_path);
+    trace.write_trace_json(out);
+    if (!out.good()) {
+      std::cerr << "failed to write trace to " << trace_path << "\n";
+      return 2;
     }
-    if (!telemetry_path.empty()) {
-      std::ofstream out(telemetry_path);
-      telemetry.write_csv(out);
-      if (!out.good()) {
-        std::cerr << "failed to write telemetry to " << telemetry_path
-                  << "\n";
-        return 2;
-      }
-      std::cout << "wrote " << telemetry.rows() << " telemetry rows to "
-                << telemetry_path << "\n";
+    std::cout << "wrote " << trace.events().size() << " trace events to "
+              << trace_path << " (load in chrome://tracing)\n";
+  }
+  if (!telemetry_path.empty()) {
+    std::ofstream out(telemetry_path);
+    telemetry.write_csv(out);
+    if (!out.good()) {
+      std::cerr << "failed to write telemetry to " << telemetry_path << "\n";
+      return 2;
     }
-  } else if (cfg.obs.slo) {
-    sbk::obs::slo::SloMonitor monitor = sbk::faultinject::make_chaos_slo(cfg);
-    sbk::obs::slo::HealthLog health;
-    report = sbk::faultinject::run_chaos_soak(cfg, monitor, health);
+    std::cout << "wrote " << telemetry.rows() << " telemetry rows to "
+              << telemetry_path << "\n";
+  }
+  if (slo) {
     std::cout << "slo: recovery_latency p99 < "
               << cfg.obs.recovery_latency_bound * 1e3 << " ms-equivalent"
               << " (budget " << cfg.obs.recovery_budget << "): attainment "
@@ -125,19 +132,17 @@ int main(int argc, char** argv) {
               << " recoveries, " << monitor.breach_count(0) << " breaches, "
               << monitor.clear_count(0) << " clears, "
               << monitor.alerts().size() << " alert events\n";
-    if (!health_path.empty()) {
-      std::ofstream out(health_path);
-      health.write_json(out);
-      if (!out.good()) {
-        std::cerr << "failed to write health snapshots to " << health_path
-                  << "\n";
-        return 2;
-      }
-      std::cout << "wrote " << health.size() << " health snapshots to "
-                << health_path << "\n";
+  }
+  if (!health_path.empty()) {
+    std::ofstream out(health_path);
+    health.write_json(out);
+    if (!out.good()) {
+      std::cerr << "failed to write health snapshots to " << health_path
+                << "\n";
+      return 2;
     }
-  } else {
-    report = sbk::faultinject::run_chaos_soak(cfg);
+    std::cout << "wrote " << health.size() << " health snapshots to "
+              << health_path << "\n";
   }
   std::cout << report.summary();
   return report.clean() ? 0 : 1;

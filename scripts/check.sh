@@ -8,8 +8,9 @@
 #
 #   --tsan         Configure a ThreadSanitizer build (-DSBK_SANITIZE=thread,
 #                  default dir build-tsan) and run the concurrency-heavy
-#                  sweep and service suites under it instead of the full
-#                  harness sweep.
+#                  sweep, service and trace suites under it instead of
+#                  the full harness sweep (trace_test holds the
+#                  all-sinks chaos sweep at 1/4/8 threads).
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection, control-plane,
@@ -26,7 +27,11 @@
 #                  measurement. For real numbers use scripts/bench.sh.
 #   --chaos-smoke  Build examples/chaos_soak and run a fixed-seed 50-
 #                  scenario soak (deterministic, ~1 s); exits non-zero on
-#                  any invariant violation.
+#                  any invariant violation. Then a 20-scenario soak with
+#                  every observer at once (--slo --health --trace
+#                  --telemetry): its trace must pass the Perfetto schema
+#                  check and its health log must hold one snapshot per
+#                  scenario.
 #   --baselines-smoke
 #                  Build examples/baseline_matrix and race all five
 #                  protection strategies (ShareBackup, F10, ECMP+global
@@ -89,7 +94,13 @@ run_trace_smoke() {
   "$BUILD"/examples/sbk_trace check "$BUILD/drill_trace.json" \
     --timeline="$BUILD/recovery_timeline.csv"
   "$BUILD"/examples/sbk_trace summary "$BUILD/drill_trace.json" >/dev/null
-  python3 - "$BUILD/drill_trace.json" <<'EOF'
+  check_trace_schema "$BUILD/drill_trace.json" trace-smoke
+}
+
+# Minimal Perfetto trace_event schema check of one trace JSON, which
+# must also carry exported recovery spans.
+check_trace_schema() {
+  python3 - "$1" "$2" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -104,7 +115,7 @@ for e in events:
         assert e.get("dur", -1) >= 0, f"span without duration: {e}"
 assert any(e["cat"] == "recovery" for e in events), \
     "no recovery spans exported into the trace"
-print(f"trace-smoke: Perfetto JSON OK ({len(events)} events)")
+print(f"{sys.argv[2]}: Perfetto JSON OK ({len(events)} events)")
 EOF
 }
 
@@ -370,6 +381,20 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   # counts, so a violation here is a regression, never flakiness.
   "$BUILD"/examples/chaos_soak 50 1
   echo "chaos-smoke: 50 scenarios clean"
+  # Every observer on one soak: they combine, and each output is whole.
+  "$BUILD"/examples/chaos_soak 20 1 --slo \
+    --health="$BUILD/chaos_health.json" --trace="$BUILD/chaos_trace.json" \
+    --telemetry="$BUILD/chaos_telemetry.csv"
+  check_trace_schema "$BUILD/chaos_trace.json" chaos-smoke
+  python3 - "$BUILD/chaos_health.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    snaps = json.load(f)
+tracks = [s["track"] for s in snaps]
+assert tracks == list(range(20)), f"want one snapshot per scenario: {tracks}"
+print(f"chaos-smoke: {len(snaps)} health snapshots, one per scenario")
+EOF
   exit 0
 fi
 
@@ -392,15 +417,18 @@ fi
 if [ "$TSAN" = 1 ]; then
   BUILD="${1:-build-tsan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=thread
-  cmake --build "$BUILD" --target sweep_test service_test
+  cmake --build "$BUILD" --target sweep_test service_test trace_test
   # Run the sweep/thread-pool suite directly: it is the code that owns
   # all cross-thread state, and TSan halts with a non-zero exit on the
   # first data race. The service suite adds the ingress-queue
   # producer/consumer machinery and the replicated-service failover
-  # tests (multi-threaded submission across controller crashes).
+  # tests (multi-threaded submission across controller crashes); the
+  # trace suite runs the observed chaos sweep with every sink at 4 and
+  # 8 threads.
   "$BUILD"/tests/sweep_test
   "$BUILD"/tests/service_test
-  echo "tsan: sweep_test + service_test clean"
+  "$BUILD"/tests/trace_test
+  echo "tsan: sweep_test + service_test + trace_test clean"
   exit 0
 fi
 

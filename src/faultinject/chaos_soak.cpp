@@ -78,25 +78,14 @@ void race_reachability(const ChaosSoakConfig& config,
 
 }  // namespace
 
-ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
-                                       const sweep::ScenarioSpec& spec) {
-  return run_chaos_scenario(config, spec, nullptr, nullptr);
-}
-
-ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
-                                       const sweep::ScenarioSpec& spec,
-                                       obs::FlightRecorder* recorder,
-                                       obs::TelemetrySampler* sampler) {
-  return run_chaos_scenario(config, spec, recorder, sampler, nullptr,
-                            nullptr);
-}
-
-ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
-                                       const sweep::ScenarioSpec& spec,
-                                       obs::FlightRecorder* recorder,
-                                       obs::TelemetrySampler* sampler,
-                                       obs::slo::SloMonitor* slo,
-                                       obs::slo::HealthLog* health) {
+ChaosScenarioResult run_chaos_scenario(
+    const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec,
+    const sweep::ScenarioObservers& observers) {
+  obs::FlightRecorder* recorder = observers.recorder;
+  obs::TelemetrySampler* sampler = observers.sampler;
+  obs::slo::SloMonitor* slo = observers.slo;
+  SBK_EXPECTS_MSG(observers.health == nullptr || slo != nullptr,
+                  "a chaos health log requires an SLO monitor");
   ChaosScenarioResult result;
   result.seed = spec.seed;
 
@@ -113,16 +102,15 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
   control::ControlPlane plane(fabric, queue, pc);
   obs::RecoveryTracer tracer;
   plane.attach_tracer(&tracer);
+  if (observers.metrics != nullptr) plane.attach_metrics(observers.metrics);
   if (recorder != nullptr) {
     queue.attach_recorder(recorder);
     plane.attach_recorder(recorder);
     fabric.attach_recorder(recorder);
   }
 
-  const bool sampling = sampler != nullptr && sampler->enabled();
-  if (sampling) {
+  if (sampler != nullptr && sampler->enabled()) {
     const net::Network& net = fabric.network();
-    const double links = static_cast<double>(net.link_count());
     sampler->add_probe("queue.pending", [&queue] {
       return static_cast<double>(queue.pending());
     });
@@ -132,9 +120,8 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     // The soak carries no traffic, so the utilization analog is the
     // fraction of packet links currently alive: it dips on injections
     // and restores as recoveries land.
-    sampler->add_probe("net.live_link_frac", [&net, links] {
-      return 1.0 - static_cast<double>(net.failed_link_count()) / links;
-    });
+    sampler->add_probe("net.live_link_frac",
+                       [&net] { return net.live_link_fraction(); });
     sampler->add_probe("controller.pending_diagnosis", [&plane] {
       return static_cast<double>(plane.controller().pending_diagnosis());
     });
@@ -150,8 +137,7 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     // the state *before* any same-instant injection or recovery.
     sampler->start(0.0);
     for (std::size_t i = 1;; ++i) {
-      const Seconds t =
-          static_cast<double>(i) * config.obs.telemetry_interval;
+      const Seconds t = static_cast<double>(i) * sampler->interval();
       if (t > config.plan.horizon) break;
       queue.schedule_at(t, [sampler, t] { sampler->sample_now(t); });
     }
@@ -228,7 +214,7 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     race_reachability(config, spec, fabric, result);
   }
 
-  if (health != nullptr && slo != nullptr) {
+  if (observers.health != nullptr) {
     // One end-state snapshot per scenario: fabric spare pool and link
     // liveness after every recovery landed, plus the recovery-latency
     // distribution and objective attainment.
@@ -236,68 +222,28 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     snap.at = config.plan.horizon;
     snap.processed = recovery_hist.count();
     snap.spare_pool = fabric.total_spares();
-    const double links = static_cast<double>(fabric.network().link_count());
-    snap.live_link_frac =
-        links > 0.0 ? 1.0 - static_cast<double>(
-                                fabric.network().failed_link_count()) /
-                                links
-                    : 1.0;
-    obs::slo::HealthHistogramStat hs;
-    hs.name = "recovery_latency";
-    hs.count = recovery_hist.count();
-    hs.p50 = recovery_hist.quantile(0.5);
-    hs.p99 = recovery_hist.quantile(0.99);
-    hs.p999 = recovery_hist.quantile(0.999);
-    hs.max = recovery_hist.max();
-    snap.histograms.push_back(std::move(hs));
-    for (std::size_t i = 0; i < slo->objective_count(); ++i) {
-      obs::slo::HealthObjectiveStat os;
-      os.name = slo->objective(i).name;
-      os.good = slo->good_total(i);
-      os.bad = slo->bad_total(i);
-      os.breaches = slo->breach_count(i);
-      os.clears = slo->clear_count(i);
-      os.attainment = slo->attainment(i);
-      os.breached = slo->breached(i);
-      snap.objectives.push_back(std::move(os));
-    }
-    health->add(std::move(snap));
+    snap.live_link_frac = fabric.network().live_link_fraction();
+    snap.histograms.push_back(
+        obs::slo::histogram_stat("recovery_latency", recovery_hist));
+    snap.objectives = obs::slo::objective_stats(*slo);
+    observers.health->add(std::move(snap));
   }
   return result;
 }
 
-ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config) {
-  sweep::SweepConfig sc;
-  sc.master_seed = config.master_seed;
-  sc.threads = config.threads;
-  sweep::SweepRunner runner(sc);
-  ChaosSoakReport report;
-  report.scenarios =
-      runner.run(config.scenarios, [&config](const sweep::ScenarioSpec& s) {
-        return run_chaos_scenario(config, s);
-      });
-  return report;
-}
-
 ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                               obs::FlightRecorder& trace,
-                               obs::TelemetryTable& telemetry) {
-  if (!config.obs.trace) return run_chaos_soak(config);
+                               const sweep::ObservedSinks& sinks) {
   sweep::SweepConfig sc;
   sc.master_seed = config.master_seed;
   sc.threads = config.threads;
   sweep::SweepRunner runner(sc);
-  sweep::SweepRunner::TraceOptions opts;
-  opts.recorder_capacity = config.obs.trace_capacity;
-  opts.telemetry_interval = config.obs.telemetry_interval;
   ChaosSoakReport report;
-  report.scenarios = runner.run_traced(
-      config.scenarios, trace, telemetry,
-      [&config](const sweep::ScenarioSpec& s, obs::FlightRecorder& rec,
-                obs::TelemetrySampler& sampler) {
-        return run_chaos_scenario(config, s, &rec, &sampler);
-      },
-      opts);
+  report.scenarios = runner.run_observed(
+      config.scenarios, sinks,
+      [&config](const sweep::ScenarioSpec& s,
+                const sweep::ScenarioObservers& observers) {
+        return run_chaos_scenario(config, s, observers);
+      });
   return report;
 }
 
@@ -314,24 +260,6 @@ obs::slo::SloMonitor make_chaos_slo(const ChaosSoakConfig& config) {
   SBK_ASSERT_MSG(idx == 0, "recovery_latency must be objective 0");
   (void)idx;
   return slo;
-}
-
-ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                               obs::slo::SloMonitor& slo,
-                               obs::slo::HealthLog& health) {
-  if (!config.obs.slo) return run_chaos_soak(config);
-  sweep::SweepConfig sc;
-  sc.master_seed = config.master_seed;
-  sc.threads = config.threads;
-  sweep::SweepRunner runner(sc);
-  ChaosSoakReport report;
-  report.scenarios = runner.run_with_slo(
-      config.scenarios, slo, health,
-      [&config](const sweep::ScenarioSpec& s, obs::slo::SloMonitor& mon,
-                obs::slo::HealthLog& log) {
-        return run_chaos_scenario(config, s, nullptr, nullptr, &mon, &log);
-      });
-  return report;
 }
 
 std::size_t ChaosSoakReport::total_violations() const {

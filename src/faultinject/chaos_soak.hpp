@@ -50,27 +50,14 @@ struct ChaosSoakConfig {
   /// into the per-strategy unreachable tallies. 0 disables the race.
   std::size_t reachability_probes = 32;
 
-  /// Observability knobs for the tracing overloads. `trace` gates
-  /// everything: when false the traced soak behaves exactly like the
-  /// plain one (no recorder/sampler is attached anywhere, so scenario
-  /// execution is bit-identical to an untraced run).
+  /// Recovery-latency objective of make_chaos_slo: each closed
+  /// incident's recovered_at - injected_at is judged against the bound.
   struct ChaosObsConfig {
-    bool trace = false;
-    /// Per-scenario flight-recorder ring capacity.
-    std::size_t trace_capacity = obs::FlightRecorder::kDefaultCapacity;
-    /// Telemetry sampling cadence in sim seconds.
-    Seconds telemetry_interval = milliseconds(10);
-    /// SLO engine: when true the SLO soak overload evaluates a
-    /// recovery-latency objective per scenario (recovered_at -
-    /// injected_at per closed incident, judged against the bound in
-    /// virtual time) and takes one end-state health snapshot.
-    bool slo = false;
-    /// Bound on recovered_at - injected_at per incident. The paper's
-    /// sub-millisecond target covers the failover span alone; a chaos
-    /// incident closes only after the scheduled offline diagnosis
-    /// (diagnosis_delay, default 25ms) and any command retries, so the
-    /// default bound covers that modeled pipeline with the budget
-    /// tolerating the retry tail.
+    /// The paper's sub-millisecond target covers the failover span
+    /// alone; a chaos incident closes only after the scheduled offline
+    /// diagnosis (diagnosis_delay, default 25ms) and any command
+    /// retries, so the default bound covers that modeled pipeline with
+    /// the budget tolerating the retry tail.
     Seconds recovery_latency_bound = milliseconds(50);
     double recovery_budget = 0.05;
     Seconds slo_window = 0.25;
@@ -99,8 +86,8 @@ struct ChaosScenarioResult {
   std::size_t unreachable_global_reroute = 0;
   std::size_t unreachable_spider = 0;
   std::size_t unreachable_backup_rules = 0;
-  /// SLO overload only: burn-rate alerts raised/cleared by this
-  /// scenario's recovery-latency objective.
+  /// Burn-rate alerts raised/cleared by this scenario's
+  /// recovery-latency objective (0 without an SLO observer).
   std::size_t slo_breaches = 0;
   std::size_t slo_clears = 0;
 };
@@ -116,64 +103,37 @@ struct ChaosSoakReport {
 };
 
 /// Runs one chaos scenario (exposed for tests and debugging: a failing
-/// seed from a soak reproduces exactly through this call).
-[[nodiscard]] ChaosScenarioResult run_chaos_scenario(
-    const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec);
-
-/// Traced variant: wires `recorder` through the event queue, control
-/// plane, and fabric, registers the standard chaos probes on `sampler`
-/// (queue depth, backup-pool occupancy, live-link fraction, controller
-/// backlog, report-channel buffering), drives the sampler from
-/// pre-scheduled queue events on the telemetry cadence, and exports the
-/// RecoveryTracer's timeline into the recorder as "recovery" spans.
-/// Either pointer may be null (that side is skipped); with both null
-/// this is exactly the plain overload.
+/// seed from a soak reproduces exactly through this call). Every
+/// observer present is wired in, and none changes the outcome:
+///   * metrics — detector and controller instruments, through
+///     ControlPlane::attach_metrics;
+///   * recorder — the event queue, control plane and fabric, plus the
+///     RecoveryTracer timeline exported as "recovery" spans and, with an
+///     SLO monitor, its instants (breaches, clears, attainment);
+///   * sampler — the standard chaos probes (queue depth, backup-pool
+///     occupancy, live-link fraction, controller backlog, report-channel
+///     buffering), sampled every sampler->interval() by pre-scheduled
+///     queue events;
+///   * slo — must come from make_chaos_slo (directly or via
+///     clone_config); fed every closed incident's recovery latency in
+///     recovery order and finished at the plan horizon;
+///   * health — one end-state snapshot (spare pool, live-link fraction,
+///     recovery-latency histogram, objective attainment). Requires slo.
 [[nodiscard]] ChaosScenarioResult run_chaos_scenario(
     const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec,
-    obs::FlightRecorder* recorder, obs::TelemetrySampler* sampler);
+    const sweep::ScenarioObservers& observers = {});
 
-/// Runs the full soak.
-[[nodiscard]] ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config);
-
-/// Traced soak built on SweepRunner::run_traced: per-scenario recorders
-/// and samplers merged into `trace` (scenario index = Perfetto track)
-/// and `telemetry` in scenario order, so both are independent of the
-/// thread count (wall-clock span durations aside). Requires
-/// config.obs.trace; with it false the outputs stay empty and the soak
-/// runs exactly like the plain overload.
-[[nodiscard]] ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                                             obs::FlightRecorder& trace,
-                                             obs::TelemetryTable& telemetry);
+/// Runs the full soak on SweepRunner::run_observed: every sink present
+/// gets per-scenario observers, merged in scenario order with the
+/// scenario index as the track, so every output is independent of the
+/// thread count (wall-clock span durations aside). A `slo` sink should
+/// be make_chaos_slo(config); a `health` sink requires it.
+[[nodiscard]] ChaosSoakReport run_chaos_soak(
+    const ChaosSoakConfig& config, const sweep::ObservedSinks& sinks = {});
 
 /// Prototype SloMonitor for a chaos soak: one "recovery_latency"
-/// objective (index 0) built from config.obs — the object handed to
-/// SweepRunner::run_with_slo, whose per-scenario clones judge each
-/// closed incident's recovered_at - injected_at against the bound.
+/// objective (index 0) built from config.obs.
 [[nodiscard]] obs::slo::SloMonitor make_chaos_slo(
     const ChaosSoakConfig& config);
-
-/// SLO variant of the single-scenario runner: on top of the traced
-/// behaviour (either observability pointer may still be null), feeds
-/// `slo` every closed incident's recovery latency in recovery order,
-/// finishes the monitor at the plan horizon, and — when `health` is
-/// non-null — appends one end-state health snapshot (spare pool,
-/// live-link fraction, recovery-latency histogram, objective
-/// attainment). `slo` must come from make_chaos_slo (directly or via
-/// clone_config); breach instants land in `recorder` when present.
-[[nodiscard]] ChaosScenarioResult run_chaos_scenario(
-    const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec,
-    obs::FlightRecorder* recorder, obs::TelemetrySampler* sampler,
-    obs::slo::SloMonitor* slo, obs::slo::HealthLog* health);
-
-/// SLO soak built on SweepRunner::run_with_slo: per-scenario monitors
-/// and health logs merged into `slo`/`health` in scenario order with
-/// the scenario index as the track, so the combined alert timeline and
-/// snapshot log are bit-identical at any thread count. `slo` should be
-/// make_chaos_slo(config); requires config.obs.slo (with it false the
-/// soak runs exactly like the plain overload and the outputs stay
-/// empty).
-[[nodiscard]] ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                                             obs::slo::SloMonitor& slo,
-                                             obs::slo::HealthLog& health);
 
 }  // namespace sbk::faultinject

@@ -160,6 +160,12 @@ class Network {
   [[nodiscard]] std::size_t failed_link_count() const noexcept {
     return failed_links_;
   }
+  /// Fraction of links not failed (1 for a network without links).
+  [[nodiscard]] double live_link_fraction() const noexcept {
+    return links_.empty() ? 1.0
+                          : 1.0 - static_cast<double>(failed_links_) /
+                                      static_cast<double>(links_.size());
+  }
   void clear_failures();
 
   // --- surgery (used by ShareBackup circuit reconfiguration) --------------

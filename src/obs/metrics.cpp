@@ -1,8 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
 
@@ -35,48 +32,6 @@ const T* find(std::string_view name, const std::deque<T>& items,
 }
 
 }  // namespace
-
-Histogram LatencyHistogram::histogram(std::size_t bins) const {
-  SBK_EXPECTS(bins >= 1);
-  SBK_EXPECTS_MSG(!empty(), "histogram view requires at least one sample");
-  double lo = min_;
-  double hi = max_;
-  if (hi <= lo) hi = lo + 1.0;  // degenerate range: one occupied bucket
-  Histogram h(lo, hi, bins);
-  for (double x : summary_.samples()) h.add(x);
-  return h;
-}
-
-std::size_t LatencyHistogram::memory_bytes() const noexcept {
-  return summary_.samples().capacity() * sizeof(double);
-}
-
-void LatencyHistogram::set_sample_cap(std::size_t cap) {
-  SBK_EXPECTS(cap >= 2);
-  cap_ = cap;
-  while (summary_.count() >= cap_) compact();
-}
-
-void LatencyHistogram::compact() {
-  const std::vector<double>& src = summary_.samples();
-  Summary halved;
-  for (std::size_t i = 0; i < src.size(); i += 2) halved.add(src[i]);
-  summary_ = std::move(halved);
-  stride_ *= 2;
-}
-
-void LatencyHistogram::merge_from(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  summary_.merge(other.summary_);
-  // Keep the slower of the two decimation schedules so a merged
-  // instrument never retains more densely than either source did.
-  if (other.stride_ > stride_) stride_ = other.stride_;
-  while (summary_.count() >= cap_) compact();
-}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   return intern(name, counters_, counter_names_, counter_index_,

@@ -9,16 +9,14 @@
 //      merging per-scenario registries in scenario order yields the same
 //      registry regardless of how many sweep workers produced them.
 //   3. Bounded memory — latency instruments keep exact count/sum/min/max
-//      scalars plus a capped, deterministically decimated sample
-//      reservoir (util/stats.hpp Summary) for percentile queries and the
-//      on-demand fixed-width Histogram view. Hot paths that need tighter
-//      bounds and exact mergeable quantiles use obs/slo/LogHistogram
-//      instead.
+//      scalars and answer quantiles from an obs/slo/LogHistogram: O(1)
+//      record, memory bounded by its bucket array however many samples
+//      arrive, and an exact associative merge.
 //
 // Registries are neither copyable nor movable: instruments hand out
 // stable references into the registry, so its address must not change.
 // Store registries in a std::deque (reference-stable) when a dynamic
-// collection is needed — see sweep::SweepRunner::run_with_metrics.
+// collection is needed — see sweep::SweepRunner::run_observed.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/stats.hpp"
+#include "obs/slo/log_histogram.hpp"
 #include "util/time.hpp"
 
 namespace sbk::obs {
@@ -73,79 +71,47 @@ class Gauge {
 };
 
 /// Latency (or any duration) distribution. count/sum/min/max are exact
-/// scalars; percentile queries run over a bounded, deterministically
-/// decimated sample reservoir: every stride-th sample is retained, and
-/// when the reservoir reaches the cap it is halved (every other
-/// retained sample kept) and the stride doubled. Memory is therefore
-/// bounded at `sample_cap` doubles no matter how many samples arrive,
-/// while small recordings (below the cap) keep every sample and answer
-/// percentiles exactly. The decimation schedule depends only on the
-/// record sequence, never on wall time, so merged registries stay
-/// bit-identical across thread counts.
+/// scalars; percentiles come from a log-bucketed slo::LogHistogram
+/// (relative error at most one sub-bucket, ~3.2%, and clamped to the
+/// exact [min, max]). Its state is a pure function of the recorded
+/// values, so merged registries stay bit-identical across thread
+/// counts.
 class LatencyHistogram {
  public:
-  /// Default reservoir bound (doubles retained, 64 KB).
-  static constexpr std::size_t kDefaultSampleCap = 8192;
-
   void record(Seconds s) {
     if (!*enabled_) return;
-    if (count_ == 0 || s < min_) min_ = s;
-    if (count_ == 0 || s > max_) max_ = s;
-    ++count_;
     sum_ += s;
-    if (tick_ == 0) {
-      summary_.add(s);
-      if (summary_.count() >= cap_) compact();
-    }
-    if (++tick_ >= stride_) tick_ = 0;
+    hist_.record(s);
   }
 
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] std::uint64_t count() const noexcept { return hist_.count(); }
+  [[nodiscard]] bool empty() const noexcept { return hist_.empty(); }
   [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    return empty() ? 0.0 : sum_ / static_cast<double>(count());
   }
-  [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  /// Percentile over the retained reservoir (exact below the cap).
-  [[nodiscard]] double percentile(double p) const {
-    return summary_.percentile(p);
+  [[nodiscard]] double min() const noexcept { return hist_.min(); }
+  [[nodiscard]] double max() const noexcept { return hist_.max(); }
+  [[nodiscard]] double percentile(double p) const noexcept {
+    return hist_.percentile(p);
   }
-
-  /// The retained reservoir. NOTE: once decimation has kicked in its
-  /// count is smaller than count() — use the exact accessors above for
-  /// totals, the reservoir only answers distribution-shape queries.
-  [[nodiscard]] const Summary& summary() const noexcept { return summary_; }
-  /// Current decimation stride (1 until the cap is first reached).
-  [[nodiscard]] std::uint64_t stride() const noexcept { return stride_; }
-  /// Bytes held by the reservoir (retained samples only; a percentile
-  /// query transiently materializes a sorted copy of the same size).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
-  /// Adjusts the reservoir bound (>= 2); compacts immediately if the
-  /// retained set already exceeds it.
-  void set_sample_cap(std::size_t cap);
-
-  /// Fixed-width histogram over the recorded range (see util/stats.hpp).
-  /// Requires at least one recorded sample and bins >= 1.
-  [[nodiscard]] Histogram histogram(std::size_t bins = 10) const;
+  /// Bytes held by the bucket array (0 until the first record).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return hist_.memory_bytes();
+  }
 
  private:
   friend class MetricsRegistry;
   explicit LatencyHistogram(const bool* enabled) noexcept
       : enabled_(enabled) {}
-  void compact();
-  void merge_from(const LatencyHistogram& other);
+  void merge_from(const LatencyHistogram& other) {
+    hist_.merge(other.hist_);
+    sum_ += other.sum_;
+  }
 
   const bool* enabled_;
-  Summary summary_;
-  std::uint64_t count_ = 0;
+  slo::LogHistogram hist_;
   double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t stride_ = 1;
-  std::uint64_t tick_ = 0;
-  std::size_t cap_ = kDefaultSampleCap;
 };
 
 /// Insertion-ordered collection of named instruments. Lookup by name
@@ -184,8 +150,8 @@ class MetricsRegistry {
   }
 
   /// Folds `other` into this registry: counters sum, gauges take the
-  /// other's value (last merge wins), latency summaries append the
-  /// other's samples in their insertion order. Missing instruments are
+  /// other's value (last merge wins), latency histograms add bucket
+  /// counts and sums. Missing instruments are
   /// created in the other's insertion order, so a fixed merge order
   /// (e.g. sweep scenario order) produces a registry whose layout and
   /// contents are independent of thread scheduling. A disabled target

@@ -3,6 +3,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/slo/log_histogram.hpp"
+#include "obs/slo/slo_monitor.hpp"
+
 namespace sbk::obs::slo {
 
 namespace {
@@ -24,6 +27,34 @@ namespace {
 }
 
 }  // namespace
+
+HealthHistogramStat histogram_stat(std::string name,
+                                   const LogHistogram& hist) {
+  HealthHistogramStat hs;
+  hs.name = std::move(name);
+  hs.count = hist.count();
+  hs.p50 = hist.quantile(0.5);
+  hs.p99 = hist.quantile(0.99);
+  hs.p999 = hist.quantile(0.999);
+  hs.max = hist.max();
+  return hs;
+}
+
+std::vector<HealthObjectiveStat> objective_stats(const SloMonitor& slo) {
+  std::vector<HealthObjectiveStat> out;
+  for (std::size_t i = 0; i < slo.objective_count(); ++i) {
+    HealthObjectiveStat os;
+    os.name = slo.objective(i).name;
+    os.good = slo.good_total(i);
+    os.bad = slo.bad_total(i);
+    os.breaches = slo.breach_count(i);
+    os.clears = slo.clear_count(i);
+    os.attainment = slo.attainment(i);
+    os.breached = slo.breached(i);
+    out.push_back(std::move(os));
+  }
+  return out;
+}
 
 void write_health_json(std::ostream& os, const HealthSnapshot& snap) {
   os << std::setprecision(17);

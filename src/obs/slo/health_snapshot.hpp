@@ -66,6 +66,18 @@ struct HealthSnapshot {
   std::vector<HealthObjectiveStat> objectives;
 };
 
+class LogHistogram;
+class SloMonitor;
+
+/// Quantile row of one streaming histogram: count, p50/p99/p999 and the
+/// exact max.
+[[nodiscard]] HealthHistogramStat histogram_stat(std::string name,
+                                                 const LogHistogram& hist);
+
+/// Attainment rows of every objective of `slo`, in objective order.
+[[nodiscard]] std::vector<HealthObjectiveStat> objective_stats(
+    const SloMonitor& slo);
+
 /// One JSON object (single line) per snapshot.
 void write_health_json(std::ostream& os, const HealthSnapshot& snap);
 

@@ -30,6 +30,9 @@ namespace sbk::obs {
 
 class TelemetrySampler {
  public:
+  /// Cadence of the samplers an observed sweep hands its scenarios.
+  static constexpr Seconds kDefaultInterval = milliseconds(10);
+
   explicit TelemetrySampler(Seconds interval, bool enabled = true);
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }

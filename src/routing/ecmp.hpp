@@ -20,7 +20,7 @@ class EcmpRouter final : public Router {
  public:
   /// `salt` varies the hash function across experiment repetitions.
   explicit EcmpRouter(const topo::FatTree& ft, std::uint64_t salt = 0)
-      : ft_(&ft), salt_(salt), cache_(EpochSource::kTopology) {}
+      : ft_(&ft), salt_(salt) {}
 
   [[nodiscard]] net::Path route(const net::Network& net, net::NodeId src,
                                 net::NodeId dst, std::uint64_t flow_id,

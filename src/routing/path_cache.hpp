@@ -4,13 +4,13 @@
 // while the network still reports that epoch, so cached results are
 // bit-identical to a fresh computation by construction.
 //
-// Which epoch to key on:
-//   * net::Network::topology_version() — changes on failures, repairs,
-//     capacity edits, and rewiring. Use for live-filtered results
-//     (candidate_paths with live_only = true).
-//   * net::Network::structure_version() — changes only on rewiring
-//     (add_link / retarget_link). Use for structural results such as
-//     neighbor-link lookups, which then survive failure churn
+// The two caches key on different epochs:
+//   * EpochPathCache holds live-filtered candidate sets (candidate_paths
+//     with live_only = true) and keys on net::Network::topology_version(),
+//     which changes on failures, repairs, capacity edits, and rewiring.
+//   * NeighborLinkCache holds structural node-pair -> link lookups and
+//     keys on net::Network::structure_version(), which changes only on
+//     rewiring (add_link / retarget_link), so it survives failure churn
 //     untouched.
 //
 // Structural (live_only = false) candidate sets are not cached at all:
@@ -18,15 +18,6 @@
 // structural_path() (routing/fat_tree_paths.hpp) builds element i of
 // the enumeration directly. Same count, same index order, so the pick
 // is bit-identical to indexing a cached set.
-//
-// Each cache is bound to one EpochSource at construction and reads that
-// counter itself on every lookup. The earlier API took a raw epoch value
-// from the caller, which let one instance be keyed on topology_version()
-// in one call and structure_version() in another; because the counters
-// are independent they can momentarily hold equal values, at which point
-// the cache would serve a live-filtered set as if it were structural (or
-// vice versa). Binding the source at construction makes that mix-up
-// unrepresentable.
 //
 // Caches are per-router-instance and unsynchronized: the sweep engine's
 // contract already requires routers to be scenario-private (see
@@ -44,21 +35,8 @@
 
 namespace sbk::routing {
 
-/// Which Network version counter validates a cache's entries.
-enum class EpochSource {
-  kTopology,   ///< topology_version(): failures, repairs, capacity, rewiring
-  kStructure,  ///< structure_version(): rewiring only
-};
-
-/// Reads the counter an EpochSource names.
-[[nodiscard]] inline std::uint64_t epoch_of(const net::Network& net,
-                                            EpochSource source) noexcept {
-  return source == EpochSource::kTopology ? net.topology_version()
-                                          : net.structure_version();
-}
-
 /// Cache of candidate-path sets per (src, dst) host pair, invalidated as
-/// a whole when the bound epoch counter moves. The fill callback runs on
+/// a whole when topology_version() moves. The fill callback runs on
 /// miss and its result is stored verbatim — element order included, so
 /// hash selection over the cached vector equals hash selection over a
 /// fresh enumeration.
@@ -73,12 +51,10 @@ class EpochPathCache {
  public:
   using Ref = util::FlatKeyMap<std::vector<net::Path>>::Ref;
 
-  explicit EpochPathCache(EpochSource source) noexcept : source_(source) {}
-
   template <typename Fill>
   [[nodiscard]] Ref lookup(const net::Network& net, net::NodeId src,
                            net::NodeId dst, Fill&& fill) {
-    const std::uint64_t epoch = epoch_of(net, source_);
+    const std::uint64_t epoch = net.topology_version();
     if (epoch != epoch_ || !valid_) {
       paths_.clear();
       epoch_ = epoch;
@@ -88,14 +64,10 @@ class EpochPathCache {
     return paths_.find_or_emplace_ref(key, std::forward<Fill>(fill));
   }
 
-  /// Counter this cache validates against (fixed for its lifetime).
-  [[nodiscard]] EpochSource source() const noexcept { return source_; }
-
   /// Entries currently held (exposed for tests pinning invalidation).
   [[nodiscard]] std::size_t size() const noexcept { return paths_.size(); }
 
  private:
-  EpochSource source_;
   std::uint64_t epoch_ = 0;
   bool valid_ = false;  // first lookup always fills
   util::FlatKeyMap<std::vector<net::Path>> paths_;

@@ -293,6 +293,9 @@ void ControllerService::dispatch_batch(const std::vector<ServiceMessage>& batch,
   obs::ScopedSpan span(recorder_, "service", "batch", start);
   span.set_end(end);
   span.set_detail("size=" + std::to_string(batch.size()));
+  if (m_batch_size_ != nullptr) {
+    m_batch_size_->record(static_cast<double>(batch.size()));
+  }
   controller_->set_time(start);
   on_batch_begin(start);
   if (slo_enabled_) slo_on_batch(start);
@@ -480,31 +483,10 @@ void ControllerService::fill_health(obs::slo::HealthSnapshot& snap) const {
   snap.shed_probes = in.shed_probes;
   snap.batches = in.batches;
   snap.spare_pool = fabric_->total_spares();
-  const net::Network& net = fabric_->network();
-  snap.live_link_frac =
-      net.link_count() == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(net.failed_link_count()) /
-                      static_cast<double>(net.link_count());
-  obs::slo::HealthHistogramStat lat;
-  lat.name = "decision_latency";
-  lat.count = decision_latency_.count();
-  lat.p50 = decision_latency_.quantile(0.5);
-  lat.p99 = decision_latency_.quantile(0.99);
-  lat.p999 = decision_latency_.quantile(0.999);
-  lat.max = decision_latency_.max();
-  snap.histograms.push_back(std::move(lat));
-  for (std::size_t i = 0; i < slo_monitor_.objective_count(); ++i) {
-    obs::slo::HealthObjectiveStat o;
-    o.name = slo_monitor_.objective(i).name;
-    o.good = slo_monitor_.good_total(i);
-    o.bad = slo_monitor_.bad_total(i);
-    o.breaches = slo_monitor_.breach_count(i);
-    o.clears = slo_monitor_.clear_count(i);
-    o.attainment = slo_monitor_.attainment(i);
-    o.breached = slo_monitor_.breached(i);
-    snap.objectives.push_back(std::move(o));
-  }
+  snap.live_link_frac = fabric_->network().live_link_fraction();
+  snap.histograms.push_back(
+      obs::slo::histogram_stat("decision_latency", decision_latency_));
+  snap.objectives = obs::slo::objective_stats(slo_monitor_);
 }
 
 obs::slo::HealthSnapshot ControllerService::health_snapshot() const {
@@ -572,8 +554,6 @@ void ControllerService::publish_metrics() {
       .set(decision_latency_.quantile(0.999));
   metrics_->gauge("service.decision_latency_max_s")
       .set(decision_latency_.max());
-  obs::LatencyHistogram& bs = metrics_->latency("service.batch_size");
-  for (double s : ingress_.batch_sizes().samples()) bs.record(s);
   if (slo_enabled_) {
     std::uint64_t breaches = 0;
     std::uint64_t clears = 0;

@@ -63,7 +63,6 @@
 #include "service/ingress_queue.hpp"
 #include "service/message.hpp"
 #include "sharebackup/fabric.hpp"
-#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace sbk::service {
@@ -174,11 +173,15 @@ class ControllerService {
   ControllerService& operator=(const ControllerService&) = delete;
   virtual ~ControllerService();
 
-  /// Counters/gauges service.* and latency histograms
-  /// service.decision_latency / service.batch_size. Pass nullptr to
-  /// detach; the registry must outlive the service.
-  void attach_metrics(obs::MetricsRegistry* metrics) noexcept {
+  /// Counters/gauges service.* (the decision-latency distribution is
+  /// exported as service.decision_latency_count plus p50/p99/p999/max
+  /// gauges) and the service.batch_size latency histogram, recorded
+  /// once per dispatched batch. Pass nullptr to detach; the registry
+  /// must outlive the service.
+  void attach_metrics(obs::MetricsRegistry* metrics) {
     metrics_ = metrics;
+    m_batch_size_ =
+        metrics == nullptr ? nullptr : &metrics->latency("service.batch_size");
   }
   /// Batch spans, backpressure/overflow instants, and sampled
   /// queue-depth counters under category "service"; SLO breach/clear
@@ -231,9 +234,6 @@ class ControllerService {
   [[nodiscard]] const obs::slo::LogHistogram& decision_latency()
       const noexcept {
     return decision_latency_;
-  }
-  [[nodiscard]] const Summary& batch_sizes() const noexcept {
-    return ingress_.batch_sizes();
   }
   /// One line summarizing every deterministic output (service stats,
   /// ingress stats, latency distribution, and — when the SLO engine is
@@ -320,6 +320,7 @@ class ControllerService {
   ServiceStats stats_;
   obs::slo::LogHistogram decision_latency_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  obs::LatencyHistogram* m_batch_size_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   /// Mirrors config_.slo.enabled — the one branch disabled SLO costs.
   bool slo_enabled_ = false;

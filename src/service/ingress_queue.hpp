@@ -34,7 +34,6 @@
 
 #include "service/message.hpp"
 #include "util/assert.hpp"
-#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace sbk::service {
@@ -136,10 +135,6 @@ class IngressQueue {
   [[nodiscard]] const IngressStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
   [[nodiscard]] bool backpressure() const noexcept { return backpressure_; }
-  /// Per-batch size distribution (Summary over batch sizes).
-  [[nodiscard]] const Summary& batch_sizes() const noexcept {
-    return batch_sizes_;
-  }
 
  private:
   /// Dispatches every batch whose start instant is <= t. The queue is
@@ -165,7 +160,6 @@ class IngressQueue {
       stats_.processed += batch_.size();
       stats_.max_batch_seen = std::max(stats_.max_batch_seen, batch_.size());
       stats_.last_batch_end = end;
-      batch_sizes_.add(static_cast<double>(batch_.size()));
       dispatch_(batch_, start, end);
       update_backpressure(end);
     }
@@ -196,7 +190,6 @@ class IngressQueue {
   Seconds last_at_ = -std::numeric_limits<Seconds>::infinity();
   std::uint64_t last_seq_ = 0;
   IngressStats stats_;
-  Summary batch_sizes_;
 };
 
 }  // namespace sbk::service

@@ -61,6 +61,26 @@ struct SweepConfig {
   std::size_t threads = 0;
 };
 
+/// Merge targets of SweepRunner::run_observed. Every pointer is
+/// optional; the sinks must outlive the sweep.
+struct ObservedSinks {
+  obs::MetricsRegistry* metrics = nullptr;
+  obs::FlightRecorder* trace = nullptr;
+  obs::TelemetryTable* telemetry = nullptr;
+  obs::slo::SloMonitor* slo = nullptr;
+  obs::slo::HealthLog* health = nullptr;
+};
+
+/// One scenario's private observers, one per sink of ObservedSinks (null
+/// where the sink is absent).
+struct ScenarioObservers {
+  obs::MetricsRegistry* metrics = nullptr;
+  obs::FlightRecorder* recorder = nullptr;
+  obs::TelemetrySampler* sampler = nullptr;
+  obs::slo::SloMonitor* slo = nullptr;
+  obs::slo::HealthLog* health = nullptr;
+};
+
 /// Resolves a requested thread count per the SweepConfig::threads rule.
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested);
 
@@ -145,103 +165,55 @@ class SweepRunner {
     return out;
   }
 
-  /// Metrics-collecting sweep: each scenario gets a private
-  /// obs::MetricsRegistry (no cross-thread sharing), and after the sweep
-  /// the per-scenario registries are folded into `merged` in scenario
-  /// order — the same single deterministic merge run_summary uses, so
-  /// the merged registry is independent of the thread count. Registries
-  /// are reference-stable (deque) because instruments point into them.
-  /// fn: (const ScenarioSpec&, obs::MetricsRegistry&) -> R.
+  /// Observed sweep: for each sink present in `sinks`, every scenario
+  /// gets a private local (no cross-thread sharing) — a registry,
+  /// recorder or sampler with the sink's enabled flag, an SLO monitor
+  /// stamped by clone_config(), an empty health log — and a
+  /// "sweep"/"scenario" span in its recorder. After the sweep the
+  /// locals are folded into their sinks in scenario order, with the
+  /// scenario index as the track, so every merged output is independent
+  /// of the thread count (wall-clock span durations aside). Locals live
+  /// in deques because instruments point into them.
+  /// fn: (const ScenarioSpec&, const ScenarioObservers&) -> R; an absent
+  /// sink's observer is null.
   template <typename Fn>
-  auto run_with_metrics(std::size_t scenario_count,
-                        obs::MetricsRegistry& merged, Fn&& fn)
+  auto run_observed(std::size_t scenario_count, const ObservedSinks& sinks,
+                    Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn&, const ScenarioSpec&,
-                                          obs::MetricsRegistry&>> {
-    std::deque<obs::MetricsRegistry> locals;
-    for (std::size_t i = 0; i < scenario_count; ++i) {
-      locals.emplace_back(merged.enabled());
-    }
-    auto results = run(scenario_count,
-                       [&fn, &locals](const ScenarioSpec& spec) {
-                         return fn(spec, locals[spec.index]);
-                       });
-    for (const obs::MetricsRegistry& local : locals) merged.merge(local);
-    return results;
-  }
-
-  /// SLO sweep: each scenario gets a private SloMonitor (stamped from
-  /// `merged`'s objective configuration) and HealthLog. After the sweep
-  /// the per-scenario alert timelines and snapshot logs are merged into
-  /// `merged`/`health` in scenario order with the scenario index as the
-  /// track — so the combined alert timeline and snapshot log are
-  /// bit-identical at any thread count.
-  /// fn: (const ScenarioSpec&, obs::slo::SloMonitor&,
-  ///      obs::slo::HealthLog&) -> R.
-  template <typename Fn>
-  auto run_with_slo(std::size_t scenario_count, obs::slo::SloMonitor& merged,
-                    obs::slo::HealthLog& health, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, const ScenarioSpec&,
-                                          obs::slo::SloMonitor&,
-                                          obs::slo::HealthLog&>> {
+                                          const ScenarioObservers&>> {
+    std::deque<obs::MetricsRegistry> registries;
+    std::deque<obs::FlightRecorder> recorders;
+    std::deque<obs::TelemetrySampler> samplers;
     std::deque<obs::slo::SloMonitor> monitors;
     std::deque<obs::slo::HealthLog> logs;
     for (std::size_t i = 0; i < scenario_count; ++i) {
-      monitors.push_back(merged.clone_config());
-      logs.emplace_back();
+      if (sinks.metrics) registries.emplace_back(sinks.metrics->enabled());
+      if (sinks.trace) recorders.emplace_back(sinks.trace->enabled());
+      if (sinks.telemetry) {
+        samplers.emplace_back(obs::TelemetrySampler::kDefaultInterval,
+                              sinks.telemetry->enabled());
+      }
+      if (sinks.slo) monitors.push_back(sinks.slo->clone_config());
+      if (sinks.health) logs.emplace_back();
     }
-    auto results = run(scenario_count,
-                       [&fn, &monitors, &logs](const ScenarioSpec& spec) {
-                         return fn(spec, monitors[spec.index],
-                                   logs[spec.index]);
-                       });
+    auto local = [](auto& locals, std::size_t i) {
+      return locals.empty() ? nullptr : &locals[i];
+    };
+    auto results = run(scenario_count, [&](const ScenarioSpec& spec) {
+      const std::size_t i = spec.index;
+      const ScenarioObservers observers{
+          local(registries, i), local(recorders, i), local(samplers, i),
+          local(monitors, i), local(logs, i)};
+      obs::ScopedSpan span(observers.recorder, "sweep", "scenario", 0.0);
+      return fn(spec, observers);
+    });
     for (std::size_t i = 0; i < scenario_count; ++i) {
-      merged.merge(monitors[i], static_cast<std::uint32_t>(i));
-      health.append(logs[i], static_cast<std::uint32_t>(i));
-    }
-    return results;
-  }
-
-  /// Knobs for run_traced's per-scenario observability objects.
-  struct TraceOptions {
-    /// Ring capacity of each scenario's private recorder (the merged
-    /// recorder's capacity is whatever the caller constructed it with).
-    std::size_t recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
-    /// Cadence of each scenario's TelemetrySampler, in sim seconds.
-    Seconds telemetry_interval = 0.01;
-  };
-
-  /// Tracing sweep: each scenario gets a private FlightRecorder and
-  /// TelemetrySampler (no cross-thread sharing). After the sweep the
-  /// per-scenario recorders are merged into `trace` with the scenario
-  /// index as the Perfetto track, and the samplers are appended to
-  /// `telemetry`, both in scenario order — so, wall-clock fields aside,
-  /// the merged trace and the telemetry table are independent of the
-  /// thread count. Each scenario also gets a "sweep"/"scenario" span.
-  /// fn: (const ScenarioSpec&, obs::FlightRecorder&,
-  ///      obs::TelemetrySampler&) -> R.
-  template <typename Fn>
-  auto run_traced(std::size_t scenario_count, obs::FlightRecorder& trace,
-                  obs::TelemetryTable& telemetry, Fn&& fn,
-                  TraceOptions opts = {})
-      -> std::vector<std::invoke_result_t<Fn&, const ScenarioSpec&,
-                                          obs::FlightRecorder&,
-                                          obs::TelemetrySampler&>> {
-    std::deque<obs::FlightRecorder> recorders;
-    std::deque<obs::TelemetrySampler> samplers;
-    for (std::size_t i = 0; i < scenario_count; ++i) {
-      recorders.emplace_back(trace.enabled(), opts.recorder_capacity);
-      samplers.emplace_back(opts.telemetry_interval, telemetry.enabled());
-    }
-    auto results =
-        run(scenario_count, [&fn, &recorders, &samplers](
-                                const ScenarioSpec& spec) {
-          obs::FlightRecorder& rec = recorders[spec.index];
-          obs::ScopedSpan span(&rec, "sweep", "scenario", 0.0);
-          return fn(spec, rec, samplers[spec.index]);
-        });
-    for (std::size_t i = 0; i < scenario_count; ++i) {
-      trace.merge(recorders[i], static_cast<std::uint32_t>(i));
-      telemetry.append(i, samplers[i]);
+      const auto track = static_cast<std::uint32_t>(i);
+      if (sinks.metrics) sinks.metrics->merge(registries[i]);
+      if (sinks.trace) sinks.trace->merge(recorders[i], track);
+      if (sinks.telemetry) sinks.telemetry->append(i, samplers[i]);
+      if (sinks.slo) sinks.slo->merge(monitors[i], track);
+      if (sinks.health) sinks.health->append(logs[i], track);
     }
     return results;
   }

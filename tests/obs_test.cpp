@@ -1,7 +1,8 @@
 // Tests for the observability layer: metrics registry semantics
 // (create-on-first-use, disabled no-op, deterministic merge, CSV/JSON
 // export), the recovery tracer's incident lifecycle, and the
-// thread-count independence of SweepRunner::run_with_metrics.
+// thread-count independence of a registry merged by
+// SweepRunner::run_observed.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -27,8 +28,8 @@ TEST(Metrics, InstrumentsCreateOnFirstUseAndKeepValues) {
   LatencyHistogram& h = reg.latency("rt");
   h.record(1.0);
   h.record(3.0);
-  EXPECT_EQ(h.summary().count(), 2u);
-  EXPECT_DOUBLE_EQ(h.summary().mean(), 2.0);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.mean(), 2.0);
 
   EXPECT_EQ(reg.find_counter("events"), &c);
   EXPECT_EQ(reg.find_counter("absent"), nullptr);
@@ -55,7 +56,7 @@ TEST(Metrics, DisabledRegistryRecordsNothing) {
   reg.latency("l").record(1.0);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
-  EXPECT_EQ(reg.latency("l").summary().count(), 0u);
+  EXPECT_EQ(reg.latency("l").count(), 0u);
 
   // Re-enabling applies to the instruments already handed out.
   reg.set_enabled(true);
@@ -79,8 +80,9 @@ TEST(Metrics, MergeSumsCountersTakesGaugesAppendsLatencies) {
   EXPECT_EQ(a.counter("n").value(), 5u);
   EXPECT_EQ(a.counter("only_b").value(), 1u);
   EXPECT_DOUBLE_EQ(a.gauge("g").value(), 9.0);  // last merge wins
-  EXPECT_EQ(a.latency("l").summary().count(), 2u);
-  EXPECT_DOUBLE_EQ(a.latency("l").summary().max(), 3.0);
+  EXPECT_EQ(a.latency("l").count(), 2u);
+  EXPECT_DOUBLE_EQ(a.latency("l").sum(), 4.0);
+  EXPECT_DOUBLE_EQ(a.latency("l").max(), 3.0);
   // Instruments missing from the target appear in the other's order.
   EXPECT_EQ(a.counter_names().back(), "only_b");
 }
@@ -146,9 +148,14 @@ TEST(SweepMetrics, MergedRegistryIndependentOfThreadCount) {
     cfg.threads = threads;
     sweep::SweepRunner runner(cfg);
     MetricsRegistry merged;
-    auto results = runner.run_with_metrics(
-        16, merged,
-        [](const sweep::ScenarioSpec& spec, MetricsRegistry& reg) {
+    sweep::ObservedSinks sinks;
+    sinks.metrics = &merged;
+    auto results = runner.run_observed(
+        16, sinks,
+        [](const sweep::ScenarioSpec& spec,
+           const sweep::ScenarioObservers& observers) {
+          EXPECT_EQ(observers.recorder, nullptr);
+          MetricsRegistry& reg = *observers.metrics;
           reg.counter("scenarios").add();
           reg.counter("seeded").add(spec.seed % 7);
           reg.gauge("last_index").set(static_cast<double>(spec.index));

@@ -14,7 +14,6 @@
 #include "routing/f10.hpp"
 #include "routing/fat_tree_paths.hpp"
 #include "routing/global_reroute.hpp"
-#include "routing/path_cache.hpp"
 #include "routing/spider.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sweep/sweep.hpp"
@@ -331,70 +330,6 @@ TEST(F10, UnreachableWhenDestinationEdgeDies) {
   Path p = router.route(ft.network(), ft.host(0, 0, 0), ft.host(1, 0, 0),
                         5, nullptr);
   EXPECT_TRUE(p.empty());
-}
-
-TEST(PathCache, EpochSourceIsBoundAtConstruction) {
-  EpochPathCache topo_cache(EpochSource::kTopology);
-  EpochPathCache struct_cache(EpochSource::kStructure);
-  EXPECT_EQ(topo_cache.source(), EpochSource::kTopology);
-  EXPECT_EQ(struct_cache.source(), EpochSource::kStructure);
-}
-
-TEST(PathCache, CounterAliasingCannotConfuseEpochSources) {
-  // The pre-fix API took a raw epoch value from the caller, so a cache
-  // filled under topology_version() could later be probed with
-  // structure_version(); the counters are independent and can hold
-  // equal values, at which point stale live-filtered entries would be
-  // served as fresh. This test manufactures exactly that collision and
-  // checks both caches refill according to their *own* counter.
-  net::Network net;
-  const net::NodeId h0 = net.add_node(net::NodeKind::kHost, "h0");
-  const net::NodeId h1 = net.add_node(net::NodeKind::kHost, "h1");
-  const net::NodeId h2 = net.add_node(net::NodeKind::kHost, "h2");
-  const net::NodeId h3 = net.add_node(net::NodeKind::kHost, "h3");
-  const net::LinkId l = net.add_link(h0, h1, 1.0);
-
-  EpochPathCache topo_cache(EpochSource::kTopology);
-  EpochPathCache struct_cache(EpochSource::kStructure);
-  std::size_t topo_fills = 0;
-  std::size_t struct_fills = 0;
-  auto topo_fill = [&topo_fills] {
-    ++topo_fills;
-    return std::vector<Path>{};
-  };
-  auto struct_fill = [&struct_fills] {
-    ++struct_fills;
-    return std::vector<Path>{};
-  };
-
-  (void)topo_cache.lookup(net, h0, h1, topo_fill);
-  (void)struct_cache.lookup(net, h0, h1, struct_fill);
-  EXPECT_EQ(topo_fills, 1u);
-  EXPECT_EQ(struct_fills, 1u);
-
-  // Failure churn moves topology_version only: the topology-tagged
-  // cache refills, the structural one keeps serving its entry.
-  net.fail_link(l);
-  net.restore_link(l);
-  (void)topo_cache.lookup(net, h0, h1, topo_fill);
-  (void)struct_cache.lookup(net, h0, h1, struct_fill);
-  EXPECT_EQ(topo_fills, 2u);
-  EXPECT_EQ(struct_fills, 1u);
-  const std::uint64_t topo_fill_epoch = net.topology_version();
-
-  // Two rewirings advance structure_version until its raw value equals
-  // the epoch the topology cache was last filled under — the collision
-  // the old raw-epoch API could trip over.
-  net.retarget_link(l, h1, h2);
-  net.retarget_link(l, h2, h3);
-  ASSERT_EQ(net.structure_version(), topo_fill_epoch);
-  ASSERT_NE(net.topology_version(), topo_fill_epoch);
-
-  // Each cache consults its own bound counter, so both see the change.
-  (void)topo_cache.lookup(net, h0, h1, topo_fill);
-  (void)struct_cache.lookup(net, h0, h1, struct_fill);
-  EXPECT_EQ(topo_fills, 3u);
-  EXPECT_EQ(struct_fills, 2u);
 }
 
 TEST(Spider, HealthyFlowsMatchReactiveBaselineExactly) {

@@ -12,6 +12,7 @@
 #include "control/controller_cluster.hpp"
 #include "faultinject/fault_plan.hpp"
 #include "faultinject/report_stream.hpp"
+#include "obs/metrics.hpp"
 #include "service/controller_service.hpp"
 #include "service/ingress_queue.hpp"
 #include "service/message.hpp"
@@ -283,6 +284,43 @@ TEST(ControllerService, BackpressureEngagesUnderCompressedBursts) {
               const auto b = fi::breakdown(stream);
               return static_cast<std::uint64_t>(b.failure_reports);
             }());
+}
+
+TEST(ControllerService, BatchSizeInstrumentRecordsEveryBatchInBoundedMemory) {
+  // service.batch_size is recorded as each batch dispatches, so after a
+  // long stream it has seen every batch while holding no more than one
+  // LogHistogram bucket array: nothing per batch is kept for the life
+  // of the service.
+  Log::set_level(LogLevel::kError);
+  sharebackup::Fabric fabric(
+      sharebackup::FabricParams{.fat_tree = {.k = 6}, .backups_per_group = 2});
+  fi::FaultPlanConfig pcfg;
+  pcfg.switch_failures = 6;
+  pcfg.link_failures = 9;
+  const fi::FaultPlan plan = fi::FaultPlan::generate(fabric, pcfg, /*seed=*/7);
+  fi::ReportStreamConfig scfg;
+  scfg.repeats = 60;
+  scfg.background_probes = 512;
+  scfg.time_scale = 0.02;
+  const auto stream = fi::build_report_stream(plan, scfg);
+
+  control::Controller controller(fabric, control::ControllerConfig{});
+  controller.set_audit_limit(1000);
+  ControllerService service(fabric, controller, burst_sized_service());
+  obs::MetricsRegistry metrics;
+  service.attach_metrics(&metrics);
+  service.run_inline(stream);
+
+  const obs::LatencyHistogram* sizes =
+      metrics.find_latency("service.batch_size");
+  ASSERT_NE(sizes, nullptr);
+  const IngressStats& in = service.ingress_stats();
+  EXPECT_GT(in.batches, 10'000u);
+  EXPECT_EQ(sizes->count(), in.batches);
+  EXPECT_DOUBLE_EQ(sizes->sum(), static_cast<double>(in.processed));
+  EXPECT_EQ(sizes->max(), static_cast<double>(in.max_batch_seen));
+  EXPECT_LE(sizes->memory_bytes(),
+            obs::slo::LogHistogram::kBucketCount * sizeof(std::uint64_t));
 }
 
 // ---------------------------------------------------------------------------

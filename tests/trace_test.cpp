@@ -1,11 +1,14 @@
 // Tests for the flight recorder and time-series telemetry: ring-buffer
 // overwrite semantics, disabled no-op guarantees, deterministic sweep
 // merging, the Perfetto JSON round trip, exact-cadence sampling, and —
-// the load-bearing property — bit-identical traced output at any sweep
-// thread count (wall-clock fields excluded, as the one declared
-// nondeterministic channel).
+// the load-bearing property — bit-identical observed chaos-soak output
+// (trace, telemetry, SLO timeline, health log, metrics) at any sweep
+// thread count, pinned across builds by digest (wall-clock fields
+// excluded, as the one declared nondeterministic channel).
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,11 +16,13 @@
 #include "faultinject/chaos_soak.hpp"
 #include "net/algo.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_load.hpp"
 #include "routing/router.hpp"
 #include "sim/fluid_sim.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/assert.hpp"
 
 namespace sbk::obs {
 namespace {
@@ -259,6 +264,7 @@ TEST(Telemetry, FluidSimReportsUtilizationAndFlowCount) {
 /// nondeterministic channel.
 std::string deterministic_fingerprint(const FlightRecorder& rec) {
   std::ostringstream os;
+  os << std::setprecision(17);
   for (const TraceEvent& e : rec.events()) {
     os << static_cast<char>(e.phase) << '|' << e.track << '|' << e.category
        << '|' << e.name << '|' << e.ts << '|' << e.dur << '|' << e.value
@@ -267,33 +273,157 @@ std::string deterministic_fingerprint(const FlightRecorder& rec) {
   return os.str();
 }
 
+/// FNV-1a over a string: a digest that is stable across builds.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Every sink of a chaos soak, with its merged outputs rendered for
+/// comparison (the trace without wall_us).
+struct AllSinks {
+  FlightRecorder trace;
+  TelemetryTable telemetry;
+  MetricsRegistry metrics;
+  slo::SloMonitor slo;
+  slo::HealthLog health;
+
+  explicit AllSinks(const faultinject::ChaosSoakConfig& cfg)
+      : trace(/*enabled=*/true,
+              FlightRecorder::kDefaultCapacity * cfg.scenarios),
+        slo(faultinject::make_chaos_slo(cfg)) {}
+
+  [[nodiscard]] sweep::ObservedSinks sinks() {
+    return {&metrics, &trace, &telemetry, &slo, &health};
+  }
+  [[nodiscard]] std::string trace_text() const {
+    return deterministic_fingerprint(trace);
+  }
+  [[nodiscard]] std::string telemetry_csv() const {
+    std::ostringstream os;
+    telemetry.write_csv(os);
+    return os.str();
+  }
+  [[nodiscard]] std::string metrics_csv() const {
+    std::ostringstream os;
+    metrics.write_csv(os);
+    return os.str();
+  }
+};
+
+faultinject::ChaosSoakConfig soak_config(std::size_t scenarios,
+                                         std::size_t threads) {
+  faultinject::ChaosSoakConfig cfg;
+  cfg.scenarios = scenarios;
+  cfg.master_seed = 7;
+  cfg.threads = threads;
+  return cfg;
+}
+
+void expect_same_outcomes(const faultinject::ChaosSoakReport& a,
+                          const faultinject::ChaosSoakReport& b) {
+  ASSERT_EQ(a.scenarios.size(), b.scenarios.size());
+  for (std::size_t i = 0; i < a.scenarios.size(); ++i) {
+    const faultinject::ChaosScenarioResult& x = a.scenarios[i];
+    const faultinject::ChaosScenarioResult& y = b.scenarios[i];
+    EXPECT_EQ(x.seed, y.seed);
+    EXPECT_EQ(x.violations, y.violations);
+    EXPECT_EQ(x.failures_injected, y.failures_injected);
+    EXPECT_EQ(x.failovers, y.failovers);
+    EXPECT_EQ(x.retries, y.retries);
+    EXPECT_EQ(x.degraded_reroutes, y.degraded_reroutes);
+    EXPECT_EQ(x.requeued, y.requeued);
+    EXPECT_EQ(x.watchdog_trips, y.watchdog_trips);
+    EXPECT_EQ(x.reports_lost, y.reports_lost);
+    EXPECT_EQ(x.reports_buffered, y.reports_buffered);
+    EXPECT_EQ(x.probes_routed, y.probes_routed);
+    EXPECT_EQ(x.unreachable_global_reroute, y.unreachable_global_reroute);
+    EXPECT_EQ(x.unreachable_spider, y.unreachable_spider);
+    EXPECT_EQ(x.unreachable_backup_rules, y.unreachable_backup_rules);
+  }
+}
+
 TEST(TracedSweep, OutputIndependentOfThreadCount) {
-  auto run = [](std::size_t threads) {
-    faultinject::ChaosSoakConfig cfg;
-    cfg.scenarios = 4;
-    cfg.master_seed = 7;
-    cfg.threads = threads;
-    cfg.obs.trace = true;
-    FlightRecorder trace(/*enabled=*/true,
-                         cfg.obs.trace_capacity * cfg.scenarios);
-    TelemetryTable telemetry;
-    faultinject::ChaosSoakReport report =
-        run_chaos_soak(cfg, trace, telemetry);
-    EXPECT_TRUE(report.clean());
-    std::ostringstream tel;
-    telemetry.write_csv(tel);
-    return std::make_pair(deterministic_fingerprint(trace), tel.str());
+  // Every sink at once: the merged trace, telemetry, SLO timeline,
+  // health log and metrics are bit-identical at 1, 4 and 8 threads, and
+  // observing does not perturb a single scenario outcome.
+  const faultinject::ChaosSoakReport plain =
+      faultinject::run_chaos_soak(soak_config(4, 1));
+  auto run = [&plain](std::size_t threads) {
+    const faultinject::ChaosSoakConfig cfg = soak_config(4, threads);
+    auto soak = std::make_unique<AllSinks>(cfg);
+    const faultinject::ChaosSoakReport report =
+        run_chaos_soak(cfg, soak->sinks());
+    EXPECT_TRUE(report.clean()) << report.summary();
+    expect_same_outcomes(report, plain);
+    return soak;
   };
   const auto serial = run(1);
-  EXPECT_FALSE(serial.first.empty());
-  EXPECT_NE(serial.second.find("net.live_link_frac"), std::string::npos);
-  const auto four = run(4);
-  const auto eight = run(8);
-  // Bit-identical trace content (minus wall clocks) and telemetry CSV.
-  EXPECT_EQ(serial.first, four.first);
-  EXPECT_EQ(serial.first, eight.first);
-  EXPECT_EQ(serial.second, four.second);
-  EXPECT_EQ(serial.second, eight.second);
+  EXPECT_FALSE(serial->trace_text().empty());
+  EXPECT_NE(serial->telemetry_csv().find("net.live_link_frac"),
+            std::string::npos);
+  EXPECT_NE(serial->metrics_csv().find("controller.failovers"),
+            std::string::npos);
+  EXPECT_EQ(serial->health.size(), 4u);
+  for (std::size_t threads : {4u, 8u}) {
+    const auto other = run(threads);
+    EXPECT_EQ(serial->trace_text(), other->trace_text());
+    EXPECT_EQ(serial->telemetry_csv(), other->telemetry_csv());
+    EXPECT_EQ(serial->slo.fingerprint(), other->slo.fingerprint());
+    EXPECT_EQ(serial->health.fingerprint(), other->health.fingerprint());
+    EXPECT_EQ(serial->metrics_csv(), other->metrics_csv());
+  }
+}
+
+// The two digests below were recorded with the separate traced and SLO
+// sweeps that run_observed replaced, so they check it against an
+// independent implementation. A change to how the observed soak
+// samples, spans or merges moves them.
+
+TEST(ObservedSoak, TracedOutputsMatchPinnedDigest) {
+  const faultinject::ChaosSoakConfig cfg = soak_config(6, 1);
+  FlightRecorder trace(/*enabled=*/true,
+                       FlightRecorder::kDefaultCapacity * cfg.scenarios);
+  TelemetryTable telemetry;
+  sweep::ObservedSinks sinks;
+  sinks.trace = &trace;
+  sinks.telemetry = &telemetry;
+  const faultinject::ChaosSoakReport report = run_chaos_soak(cfg, sinks);
+  EXPECT_TRUE(report.clean()) << report.summary();
+  std::ostringstream tel;
+  telemetry.write_csv(tel);
+  const std::uint64_t digest =
+      fnv1a(deterministic_fingerprint(trace) + "#" + tel.str());
+  EXPECT_EQ(digest, 0xe3ce2c54d404237cULL) << std::hex << "digest 0x"
+                                            << digest;
+}
+
+TEST(ObservedSoak, SloOutputsMatchPinnedDigest) {
+  const faultinject::ChaosSoakConfig cfg = soak_config(6, 1);
+  slo::SloMonitor monitor = faultinject::make_chaos_slo(cfg);
+  slo::HealthLog health;
+  sweep::ObservedSinks sinks;
+  sinks.slo = &monitor;
+  sinks.health = &health;
+  const faultinject::ChaosSoakReport report = run_chaos_soak(cfg, sinks);
+  EXPECT_TRUE(report.clean()) << report.summary();
+  EXPECT_EQ(health.size(), cfg.scenarios);
+  const std::uint64_t digest =
+      fnv1a(monitor.fingerprint() + "#" + health.fingerprint());
+  EXPECT_EQ(digest, 0x4da6f44cd958f690ULL) << std::hex << "digest 0x"
+                                            << digest;
+}
+
+TEST(ObservedSoak, HealthLogWithoutSloMonitorIsRejected) {
+  slo::HealthLog health;
+  sweep::ObservedSinks sinks;
+  sinks.health = &health;
+  EXPECT_THROW((void)run_chaos_soak(soak_config(1, 1), sinks),
+               ContractViolation);
 }
 
 }  // namespace

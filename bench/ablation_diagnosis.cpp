@@ -43,12 +43,11 @@ Outcome replay(bool with_diagnosis, int k, int n, std::size_t events,
     net::NodeId edge = fabric.fat_tree().edge(pod, ei);
     net::NodeId agg = fabric.fat_tree().agg(pod, ai);
     net::LinkId link = *fabric.network().find_link(edge, agg);
-    std::size_t cs = fabric.cs_of_link(link);
     bool edge_faulty = rng.bernoulli(0.5);
     net::NodeId culprit = edge_faulty ? edge : agg;
+    // The clean-up below heals this device even if a failover moved it.
     auto dev = fabric.device_at(*fabric.position_of_node(culprit));
-    fabric.set_interface_health({dev, cs}, false);
-    fabric.network().fail_link(link);
+    fabric.ground_link_failure(link, culprit);
 
     ctrl.set_time(static_cast<Seconds>(e) * 60.0);  // one per minute
     auto result = ctrl.on_link_failure(link);
@@ -59,7 +58,7 @@ Outcome replay(bool with_diagnosis, int k, int n, std::size_t events,
     }
     if (!result.recovered) {
       // Clean up the unrecoverable failure so later events stand alone.
-      fabric.set_interface_health({dev, cs}, true);
+      fabric.set_interface_health({dev, fabric.cs_of_link(link)}, true);
       fabric.network().restore_link(link);
     }
     if (with_diagnosis) {

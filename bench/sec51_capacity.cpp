@@ -188,13 +188,11 @@ int main(int argc, char** argv) {
   // faulty switch): a single backup absorbs the whole event, because the
   // controller re-probes each reported link before consuming backups.
   net::NodeId sick_edge = fabric.fat_tree().edge(0, 0);
-  auto edge_dev = fabric.device_at(*fabric.position_of_node(sick_edge));
   std::vector<net::LinkId> sick_links;
   for (int a = 0; a < 4; ++a) {
     net::LinkId l = *fabric.network().find_link(sick_edge,
                                                 fabric.fat_tree().agg(0, a));
-    fabric.set_interface_health({edge_dev, fabric.cs_of_link(l)}, false);
-    fabric.network().fail_link(l);
+    fabric.ground_link_failure(l, sick_edge);
     sick_links.push_back(l);
   }
   std::size_t recovered_links = 0;

@@ -124,7 +124,10 @@ int main(int argc, char** argv) {
               << telemetry_path << "\n";
   }
   if (slo) {
-    std::cout << "slo: recovery_latency p99 < "
+    // The objective's quantile is the one its error budget implies: a
+    // 5% budget lets 5% of recoveries exceed the bound, a p95 objective.
+    std::cout << "slo: recovery_latency p"
+              << 100.0 * (1.0 - cfg.obs.recovery_budget) << " < "
               << cfg.obs.recovery_latency_bound * 1e3 << " ms-equivalent"
               << " (budget " << cfg.obs.recovery_budget << "): attainment "
               << monitor.attainment(0) << " over "

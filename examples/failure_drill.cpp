@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   controller.attach_metrics(&metrics);
   fabric.attach_metrics(&metrics);
   if (recorder.enabled()) {
-    queue.attach_recorder(&recorder);
     controller.attach_recorder(&recorder);
     fabric.attach_recorder(&recorder);
   }
@@ -111,9 +110,7 @@ int main(int argc, char** argv) {
   net::LinkId link = *fabric.network().find_link(edge, agg);
   queue.schedule_at(0.100, [&] {
     tracer.note_injection(link_element(link), queue.now());
-    auto dev = fabric.device_at(*fabric.position_of_node(edge));
-    fabric.set_interface_health({dev, fabric.cs_of_link(link)}, false);
-    fabric.network().fail_link(link);
+    fabric.ground_link_failure(link, edge);
   });
 
   say("Act 3 — a host NIC dies; per policy the edge switch is replaced "
@@ -122,9 +119,7 @@ int main(int argc, char** argv) {
   net::LinkId host_link = fabric.fat_tree().host_link(host);
   queue.schedule_at(0.200, [&] {
     tracer.note_injection(link_element(host_link), queue.now());
-    auto hdev = fabric.device_of_host(host);
-    fabric.set_interface_health({hdev, fabric.cs_of_link(host_link)}, false);
-    fabric.network().fail_link(host_link);
+    fabric.ground_link_failure(host_link, host);
   });
 
   say("Act 4 — the primary controller crashes; a replica takes over.\n");

@@ -1,5 +1,5 @@
-// Sustained-churn soak for the always-on controller service (ROADMAP
-// item 2): replays a FaultPlan-derived report stream — hundreds of
+// Sustained-churn soak for the always-on controller service (paper
+// §4.1-4.2, §5.3): replays a FaultPlan-derived report stream — hundreds of
 // thousands of failure reports, probe results, and operator commands —
 // through the ControllerService and measures what the paper's
 // sub-millisecond claim looks like under saturation.

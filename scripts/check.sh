@@ -14,13 +14,15 @@
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection, control-plane,
-#                  simulator, detector, routing and baselines suites
-#                  under it — the chaos paths exercise the
+#                  simulator, detector, routing, baselines, fabric and
+#                  service suites under it — the chaos paths exercise the
 #                  allocation-heavy recovery machinery that ASan watches
 #                  best, the event queue indexes its slot arena through
 #                  a free list, the fluid simulator swap-erases per-slot
-#                  flow lists, and the routers build structural paths
-#                  by index.
+#                  flow lists, the routers build structural paths by
+#                  index, the fabric grounds link faults and lists the
+#                  switch devices the repair crew walks, and the service
+#                  dispatch path drives both.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -29,9 +31,10 @@
 #                  scenario soak (deterministic, ~1 s); exits non-zero on
 #                  any invariant violation. Then a 20-scenario soak with
 #                  every observer at once (--slo --health --trace
-#                  --telemetry): its trace must pass the Perfetto schema
-#                  check and its health log must hold one snapshot per
-#                  scenario.
+#                  --telemetry): its SLO line must name the p95 objective
+#                  that the default 5% error budget implies, its trace
+#                  must pass the Perfetto schema check and its health log
+#                  must hold one snapshot per scenario.
 #   --baselines-smoke
 #                  Build examples/baseline_matrix and race all five
 #                  protection strategies (ShareBackup, F10, ECMP+global
@@ -384,7 +387,10 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   # Every observer on one soak: they combine, and each output is whole.
   "$BUILD"/examples/chaos_soak 20 1 --slo \
     --health="$BUILD/chaos_health.json" --trace="$BUILD/chaos_trace.json" \
-    --telemetry="$BUILD/chaos_telemetry.csv"
+    --telemetry="$BUILD/chaos_telemetry.csv" | tee "$BUILD/chaos_observed.txt"
+  grep -q "^slo: recovery_latency p95 < " "$BUILD/chaos_observed.txt" \
+    || { echo "chaos-smoke: slo line does not name the p95 objective" >&2
+         exit 1; }
   check_trace_schema "$BUILD/chaos_trace.json" chaos-smoke
   python3 - "$BUILD/chaos_health.json" <<'EOF'
 import json, sys
@@ -402,15 +408,19 @@ if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
   cmake --build "$BUILD" --target faultinject_test control_plane_test \
-    sim_test control_test routing_test baselines_test
+    sim_test control_test routing_test baselines_test fabric_test \
+    service_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/sim_test
   "$BUILD"/tests/control_test
   "$BUILD"/tests/routing_test
   "$BUILD"/tests/baselines_test
+  "$BUILD"/tests/fabric_test
+  "$BUILD"/tests/service_test
   echo "asan: faultinject_test + control_plane_test + sim_test +" \
-    "control_test + routing_test + baselines_test clean"
+    "control_test + routing_test + baselines_test + fabric_test +" \
+    "service_test clean"
   exit 0
 fi
 
@@ -490,7 +500,9 @@ run_failover_smoke "$BUILD" 10
 run_slo_smoke "$BUILD" 10
 
 for b in "$BUILD"/bench/*; do
-  [ -x "$b" ] || continue
+  # Harness binaries only: CMakeFiles/ is a directory, and directories
+  # pass -x.
+  [ -f "$b" ] && [ -x "$b" ] || continue
   name="$(basename "$b")"
   echo "=== $name ==="
   if [ "$name" = micro_perf ]; then

@@ -1,4 +1,5 @@
-// Head-to-head protection-strategy comparison matrix (ROADMAP item 3).
+// Head-to-head protection-strategy comparison matrix (paper §2.2 and
+// §5.3: ShareBackup against rerouting and pre-installed protection).
 //
 // Races five failure-recovery strategies over identical fault draws and
 // identical traffic and reports, per strategy:

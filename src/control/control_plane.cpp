@@ -8,7 +8,8 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
                            sim::EventQueue& queue, ControlPlaneConfig config)
     : fabric_(&fabric), queue_(&queue), config_(config),
       controller_(fabric, config.controller),
-      detector_(queue, fabric.network(), config.detector) {
+      detector_(queue, fabric.network(), config.detector),
+      tables_(fabric) {
   if (config_.cluster_members > 0) {
     ClusterConfig cc = config_.cluster;
     cc.members = config_.cluster_members;
@@ -19,10 +20,7 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
       replay_buffered(at);
     });
   }
-  if (config_.manage_tables) {
-    tables_.emplace(fabric);
-    controller_.attach_table_manager(&*tables_);
-  }
+  controller_.attach_table_manager(&tables_);
 
   controller_.set_retry_listener(
       [this](const RecoveryOutcome& out, std::optional<net::NodeId> node,
@@ -81,17 +79,10 @@ void ControlPlane::deliver_report(Report r, Seconds t) {
 
 void ControlPlane::handle_report(const Report& r, Seconds t) {
   if (!controller_available()) {
-    if (cluster_.has_value() && config_.buffer_reports_during_election) {
-      election_buffer_.push_back(r);
-      ++reports_buffered_;
-      if (recorder_ != nullptr) {
-        recorder_->instant("control", "report_buffered", t);
-      }
-    } else {
-      ++reports_dropped_;
-      if (recorder_ != nullptr) {
-        recorder_->instant("control", "report_dropped", t);
-      }
+    election_buffer_.push_back(r);
+    ++reports_buffered_;
+    if (recorder_ != nullptr) {
+      recorder_->instant("control", "report_buffered", t);
     }
     return;
   }

@@ -43,13 +43,6 @@ struct ControlPlaneConfig {
   /// Delay before a queued offline diagnosis runs (it is background
   /// work; the paper only requires it off the critical path).
   Seconds diagnosis_delay = 1.0;
-  /// Mirror failovers into an ImpersonationStore (§4.3 tables).
-  bool manage_tables = true;
-  /// Buffer failure reports that arrive while the cluster has no usable
-  /// primary and replay them once an election completes, instead of
-  /// dropping them (switches persist unacknowledged reports and re-send
-  /// to the new primary). Disable to get the historical drop behavior.
-  bool buffer_reports_during_election = true;
 };
 
 /// Everything §4 describes, assembled and self-driving.
@@ -70,21 +63,17 @@ class ControlPlane {
   [[nodiscard]] ControllerCluster* cluster() noexcept {
     return cluster_ ? &*cluster_ : nullptr;
   }
-  [[nodiscard]] const TableManager* tables() const noexcept {
-    return tables_ ? &*tables_ : nullptr;
+  /// The §4.3 routing-table mirror every failover is reflected in.
+  [[nodiscard]] const TableManager& tables() const noexcept {
+    return tables_;
   }
 
-  /// Reports dropped because no primary controller was available (only
-  /// with buffer_reports_during_election disabled, or without a cluster
-  /// to buffer for).
-  [[nodiscard]] std::size_t reports_dropped() const noexcept {
-    return reports_dropped_;
-  }
   /// Reports lost on the control channel by the fault hook.
   [[nodiscard]] std::size_t reports_lost() const noexcept {
     return reports_lost_;
   }
-  /// Reports buffered while the cluster had no primary.
+  /// Reports buffered while the cluster had no primary (switches keep
+  /// unacknowledged reports and re-send them to the next primary).
   [[nodiscard]] std::size_t reports_buffered() const noexcept {
     return reports_buffered_;
   }
@@ -141,8 +130,8 @@ class ControlPlane {
   [[nodiscard]] bool controller_available() const;
   /// Applies the report fault hook, then delivers (possibly later).
   void deliver_report(Report r, Seconds t);
-  /// Hands an arrived report to the controller, or buffers/drops it
-  /// while the cluster is headless.
+  /// Hands an arrived report to the controller, or buffers it while the
+  /// cluster is headless.
   void handle_report(const Report& r, Seconds t);
   void process_report(const Report& r, Seconds t);
   void schedule_diagnosis_if_pending();
@@ -154,12 +143,11 @@ class ControlPlane {
   Controller controller_;
   FailureDetector detector_;
   std::optional<ControllerCluster> cluster_;
-  std::optional<TableManager> tables_;
+  TableManager tables_;
   RecoveryObserver observer_;
   ReportFaultHook report_fault_;
   obs::FlightRecorder* recorder_ = nullptr;
   std::deque<Report> election_buffer_;
-  std::size_t reports_dropped_ = 0;
   std::size_t reports_lost_ = 0;
   std::size_t reports_buffered_ = 0;
   std::size_t reports_replayed_ = 0;

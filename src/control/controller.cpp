@@ -163,10 +163,24 @@ void Controller::account_command(const CommandOutcome& co,
   if (m_retries_ && co.retries > 0) m_retries_->add(co.retries);
   outcome.retries += co.retries;
   for (const Fabric::FailoverReport& rep : co.doa_cascade) {
-    ++stats_.failovers;
-    if (m_failovers_) m_failovers_->add();
-    mirror_failover(rep);
-    outcome.failovers.push_back(rep);
+    count_failover(rep, outcome);
+  }
+}
+
+void Controller::count_failover(const Fabric::FailoverReport& report,
+                                RecoveryOutcome& outcome) {
+  ++stats_.failovers;
+  if (m_failovers_) m_failovers_->add();
+  if (tables_ != nullptr) tables_->on_fail_over(report);
+  outcome.failovers.push_back(report);
+}
+
+void Controller::count_failed_recovery(bool pool_exhausted) {
+  if (pool_exhausted) {
+    ++stats_.recoveries_failed_pool_exhausted;
+    if (m_pool_exhausted_) m_pool_exhausted_->add();
+  } else {
+    ++stats_.retries_exhausted;
   }
 }
 
@@ -192,11 +206,6 @@ void Controller::degrade(RecoveryOutcome& outcome, const std::string& element,
     tracer_->add_span(inc, "degraded_reroute", now_,
                       now_ + outcome.degraded_latency);
   }
-}
-
-void Controller::mirror_failover(
-    const sharebackup::Fabric::FailoverReport& report) {
-  if (tables_ != nullptr) tables_->on_fail_over(report);
 }
 
 void Controller::mirror_return(DeviceUid dev) {
@@ -345,12 +354,7 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
   CommandOutcome co = execute_failover(pos);
   account_command(co, outcome);
   if (!co.report.has_value()) {
-    if (co.pool_exhausted) {
-      ++stats_.recoveries_failed_pool_exhausted;
-      if (m_pool_exhausted_) m_pool_exhausted_->add();
-    } else {
-      ++stats_.retries_exhausted;
-    }
+    count_failed_recovery(co.pool_exhausted);
     park_node(pos);
     degrade(outcome, element,
             co.pool_exhausted ? "backup pool exhausted for failure group"
@@ -358,13 +362,10 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
     return outcome;
   }
   const Fabric::FailoverReport& report = *co.report;
-  ++stats_.failovers;
-  if (m_failovers_) m_failovers_->add();
-  mirror_failover(report);
+  count_failover(report, outcome);
   audit("failover", fabric_->device(report.failed_device).name + " -> " +
                         fabric_->device(report.replacement).name);
   outcome.recovered = true;
-  outcome.failovers.push_back(report);
   outcome.control_latency = control_path_latency() + co.retry_penalty;
   outcome.detail = "switch replaced by backup";
   if (m_control_latency_) m_control_latency_->record(outcome.control_latency);
@@ -467,37 +468,22 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
       // Roll back nothing: a half-recovered link keeps its replacement
       // (harmless — the new switch serves the position fine); but the
       // link cannot be restored without both ends replaced.
-      bool pool = ca.pool_exhausted || cb.pool_exhausted;
-      if (pool) {
-        ++stats_.recoveries_failed_pool_exhausted;
-        if (m_pool_exhausted_) m_pool_exhausted_->add();
-      } else {
-        ++stats_.retries_exhausted;
-      }
-      std::size_t applied = 0;
+      const bool pool = ca.pool_exhausted || cb.pool_exhausted;
+      count_failed_recovery(pool);
       for (const CommandOutcome* c : {&ca, &cb}) {
-        if (!c->report.has_value()) continue;
-        mirror_failover(*c->report);
-        outcome.failovers.push_back(*c->report);
-        ++applied;
+        if (c->report.has_value()) count_failover(*c->report, outcome);
       }
-      stats_.failovers += applied;
-      if (m_failovers_ && applied > 0) m_failovers_->add(applied);
       park_link(link);
       degrade(outcome, element,
               pool ? "backup pool exhausted; link not recovered"
                    : "reconfiguration command retries exhausted");
       return outcome;
     }
-    stats_.failovers += 2;
-    if (m_failovers_) m_failovers_->add(2);
-    mirror_failover(*ca.report);
-    mirror_failover(*cb.report);
+    count_failover(*ca.report, outcome);
+    count_failover(*cb.report, outcome);
     audit("link-failover",
           fabric_->device(ca.report->failed_device).name + " & " +
               fabric_->device(cb.report->failed_device).name + " replaced");
-    outcome.failovers.push_back(*ca.report);
-    outcome.failovers.push_back(*cb.report);
     fabric_->network().fail_link(link);  // idempotent if already failed
     fabric_->network().restore_link(link);
     outcome.recovered = true;
@@ -526,12 +512,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
   CommandOutcome ch = execute_failover(*sw_pos);
   account_command(ch, outcome);
   if (!ch.report.has_value()) {
-    if (ch.pool_exhausted) {
-      ++stats_.recoveries_failed_pool_exhausted;
-      if (m_pool_exhausted_) m_pool_exhausted_->add();
-    } else {
-      ++stats_.retries_exhausted;
-    }
+    count_failed_recovery(ch.pool_exhausted);
     park_link(link);
     degrade(outcome, element,
             ch.pool_exhausted
@@ -539,11 +520,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
                 : "reconfiguration command retries exhausted");
     return outcome;
   }
-  const Fabric::FailoverReport& report = *ch.report;
-  ++stats_.failovers;
-  if (m_failovers_) m_failovers_->add();
-  mirror_failover(report);
-  outcome.failovers.push_back(report);
+  count_failover(*ch.report, outcome);
 
   // Re-test the link with the fresh switch: if the host side is at
   // fault, the failure persists.
@@ -662,6 +639,16 @@ void Controller::on_device_repaired(DeviceUid dev) {
     incident_of_faulty_.erase(it);
   }
   retry_pending();
+}
+
+std::size_t Controller::repair_out_of_service() {
+  std::size_t repaired = 0;
+  for (DeviceUid uid : fabric_->switch_devices()) {
+    if (fabric_->device_state(uid) != DeviceState::kOut) continue;
+    on_device_repaired(uid);
+    ++repaired;
+  }
+  return repaired;
 }
 
 }  // namespace sbk::control

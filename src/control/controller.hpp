@@ -167,6 +167,11 @@ class Controller {
   /// A technician repaired a confirmed-faulty device: heal its interfaces
   /// and return it to the pool as a backup (the paper keeps roles fluid).
   void on_device_repaired(sharebackup::DeviceUid dev);
+  /// The repair crew: on_device_repaired() for every out-of-service
+  /// device, walking fabric.switch_devices() in order (a retry that a
+  /// repair triggers may take a device out that the walk reaches
+  /// later). Returns the number repaired.
+  std::size_t repair_out_of_service();
 
   /// Failures that could not be recovered (pool exhausted) are parked and
   /// automatically retried whenever a device returns to a pool. The
@@ -319,6 +324,12 @@ class Controller {
   /// Folds a CommandOutcome's retries and DOA-cascade failovers into the
   /// stats, metrics, table mirror and the RecoveryOutcome.
   void account_command(const CommandOutcome& co, RecoveryOutcome& outcome);
+  /// One executed failover: stats, metric, table mirror, outcome.
+  void count_failover(const sharebackup::Fabric::FailoverReport& report,
+                      RecoveryOutcome& outcome);
+  /// One recovery that installed no backup: an exhausted pool, or
+  /// command retries spent.
+  void count_failed_recovery(bool pool_exhausted);
   /// Marks an unrecoverable failure as degraded to the global-reroute
   /// path (latency model, counters, tracer span, audit).
   void degrade(RecoveryOutcome& outcome, const std::string& element,
@@ -337,7 +348,6 @@ class Controller {
   std::size_t trace_recovery(const std::string& element,
                              Seconds command_penalty = 0.0);
 
-  void mirror_failover(const sharebackup::Fabric::FailoverReport& report);
   void mirror_return(sharebackup::DeviceUid dev);
   void park_node(sharebackup::SwitchPosition pos);
   void park_link(net::LinkId link);

@@ -11,7 +11,8 @@
 //      nothing is silently lost. A parked failure must have a cause: an
 //      exhausted backup pool on (one of) its failure group(s), or a
 //      currently tripped watchdog holding recovery for humans.
-//   2. No failure report was dropped (buffering must cover elections).
+//   2. Every report buffered during an election was replayed to the
+//      next primary (nothing is stranded in the buffer).
 //   3. Offline diagnosis drained (background work cannot leak).
 //   4. The fabric's internal invariants hold (circuit matchings, pool
 //      accounting, device states).
@@ -100,9 +101,6 @@ class ChaosInjector {
   /// Distinct elements actually failed by this injector (verify targets).
   std::vector<net::NodeId> injected_nodes_;
   std::vector<net::LinkId> injected_links_;
-  /// Closed set of switch-device uids (positions + initial spares); the
-  /// repair crew scans it for out-of-service hardware.
-  std::vector<sharebackup::DeviceUid> switch_devices_;
 };
 
 }  // namespace sbk::faultinject

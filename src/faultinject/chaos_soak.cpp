@@ -104,7 +104,6 @@ ChaosScenarioResult run_chaos_scenario(
   plane.attach_tracer(&tracer);
   if (observers.metrics != nullptr) plane.attach_metrics(observers.metrics);
   if (recorder != nullptr) {
-    queue.attach_recorder(recorder);
     plane.attach_recorder(recorder);
     fabric.attach_recorder(recorder);
   }

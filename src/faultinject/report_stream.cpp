@@ -51,16 +51,15 @@ std::vector<ServiceMessage> build_report_stream(
         msg.inject = i == 0;
         emit(msg, base + ev.at + static_cast<Seconds>(i) * config.resend_gap);
       }
-      if (config.sick_probe_followup) {
-        ServiceMessage msg;
-        msg.kind = MessageKind::kProbeResult;
-        msg.link = ev.link;
-        msg.healthy = false;
-        emit(msg, base + ev.at +
-                      static_cast<Seconds>(config.resends) *
-                          config.resend_gap +
-                      config.resend_gap);
-      }
+      // One sick-probe re-report follows the resends.
+      ServiceMessage msg;
+      msg.kind = MessageKind::kProbeResult;
+      msg.link = ev.link;
+      msg.healthy = false;
+      emit(msg, base + ev.at +
+                    static_cast<Seconds>(config.resends) *
+                        config.resend_gap +
+                    config.resend_gap);
     }
 
     // Healthy background probes: telemetry spread evenly over the
@@ -97,24 +96,24 @@ std::vector<ServiceMessage> build_report_stream(
 
     // Controller-cluster chaos: each planned crash becomes a crash
     // message at its event time and a repair message at its repair
-    // time, every repeat — so failovers recur throughout the soak.
-    if (config.cluster_events) {
-      const std::size_t members =
-          std::max<std::size_t>(plan.config.cluster_members, 1);
-      for (const ControllerCrashEvent& ev : plan.controller_crashes) {
-        const std::uint32_t target =
-            ev.member == kPrimaryMember
-                ? service::kClusterPrimary
-                : static_cast<std::uint32_t>(ev.member % members);
-        ServiceMessage crash;
-        crash.kind = MessageKind::kControllerCrash;
-        crash.member = target;
-        emit(crash, base + ev.at);
-        ServiceMessage repair;
-        repair.kind = MessageKind::kControllerRepair;
-        repair.member = target;
-        emit(repair, base + ev.repair_at);
-      }
+    // time, every repeat — so failovers recur throughout the soak. The
+    // single-controller service counts and ignores them; the replicated
+    // service crashes for real.
+    const std::size_t members =
+        std::max<std::size_t>(plan.config.cluster_members, 1);
+    for (const ControllerCrashEvent& ev : plan.controller_crashes) {
+      const std::uint32_t target =
+          ev.member == kPrimaryMember
+              ? service::kClusterPrimary
+              : static_cast<std::uint32_t>(ev.member % members);
+      ServiceMessage crash;
+      crash.kind = MessageKind::kControllerCrash;
+      crash.member = target;
+      emit(crash, base + ev.at);
+      ServiceMessage repair;
+      repair.kind = MessageKind::kControllerRepair;
+      repair.member = target;
+      emit(repair, base + ev.repair_at);
     }
   }
 

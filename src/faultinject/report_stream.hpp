@@ -1,6 +1,6 @@
 // FaultPlan -> ServiceMessage stream adapter: turns a deterministic
 // chaos fault schedule into the sustained report traffic the
-// ControllerService ingests (ROADMAP item 2). Where the ChaosInjector
+// ControllerService ingests (paper §4.1-4.2). Where the ChaosInjector
 // *drives* the control plane directly from an event queue, this adapter
 // materializes what the network would have *sent* the controller — the
 // failure reports (with re-sends), probe results, and the operator /
@@ -43,8 +43,6 @@ struct ReportStreamConfig {
   /// grounds the failure; re-sends exercise the stale-report guard).
   int resends = 2;
   Seconds resend_gap = microseconds(150);
-  /// One sick-probe re-report follows each link failure's resends.
-  bool sick_probe_followup = true;
   /// Healthy background probe results per repeat, spread evenly over the
   /// repeat window (telemetry; the first traffic shed by backpressure).
   int background_probes = 64;
@@ -56,12 +54,6 @@ struct ReportStreamConfig {
   Seconds retry_interval = 0.25;      ///< kRetryParked
   /// Virtual-time compression factor applied to every timestamp.
   double time_scale = 1.0;
-  /// Emit the plan's controller crash/repair schedule as
-  /// kControllerCrash / kControllerRepair messages (one pair per event
-  /// per repeat). The single-controller service counts and ignores
-  /// them; the replicated service crashes for real. Disable to replay a
-  /// crash-bearing plan against a cluster-oblivious consumer.
-  bool cluster_events = true;
 };
 
 /// Message-mix accounting for a built stream.

@@ -6,15 +6,25 @@
 #include <limits>
 #include <sstream>
 
-#include "topo/position.hpp"
 #include "util/assert.hpp"
 
 namespace sbk::service {
 
-using sharebackup::DeviceState;
-using sharebackup::DeviceUid;
-
 namespace {
+
+/// Per-producer staging bound; submit() blocks when full (the wall-clock
+/// backpressure path: it bounds memory but never changes virtual-time
+/// outcomes).
+constexpr std::size_t kStagingCapacity = 1024;
+/// Every Nth processed message also records its decision latency into
+/// the flight recorder as a counter sample (every message feeds the
+/// streaming histogram regardless).
+constexpr std::size_t kLatencySampleEvery = 64;
+/// Shutdown settle: the virtual-time step between rounds (a watchdog
+/// window must be able to slide past the last report burst) and the
+/// round cap.
+constexpr Seconds kSettleStep = 1.25;
+constexpr std::size_t kMaxSettleRounds = 16;
 
 /// Lexicographic (at, seq) comparison for watermark keys.
 [[nodiscard]] bool key_less(Seconds at_a, std::uint64_t seq_a, Seconds at_b,
@@ -44,28 +54,6 @@ ControllerService::ControllerService(sharebackup::Fabric& fabric,
       ingress_(config.ingress,
                [this](const std::vector<ServiceMessage>& batch, Seconds start,
                       Seconds end) { dispatch_batch(batch, start, end); }) {
-  SBK_EXPECTS(config_.staging_capacity >= 1);
-  SBK_EXPECTS(config_.sweep_step > 0.0);
-  SBK_EXPECTS(config_.max_sweep_rounds >= 1);
-
-  // Closed switch-device universe for the repair crew (kRepairAll):
-  // every position's current device plus every initial spare. Failovers
-  // only permute devices within this set.
-  for (net::NodeId sw : fabric_->fat_tree().all_switches()) {
-    auto pos = fabric_->position_of_node(sw);
-    SBK_ASSERT(pos.has_value());
-    switch_devices_.push_back(fabric_->device_at(*pos));
-  }
-  const int k = fabric_->k();
-  for (topo::Layer layer :
-       {topo::Layer::kEdge, topo::Layer::kAgg, topo::Layer::kCore}) {
-    for (int g = 0; g < topo::failure_group_count(k, layer); ++g) {
-      for (DeviceUid uid : fabric_->spares(layer, g)) {
-        switch_devices_.push_back(uid);
-      }
-    }
-  }
-
   if (config_.slo.enabled) {
     const ServiceSloConfig& s = config_.slo;
     SBK_EXPECTS(s.snapshot_interval > 0.0);
@@ -157,7 +145,7 @@ void ControllerService::submit(int producer, const ServiceMessage& msg) {
   p.has_wm = true;
   cv_work_.notify_one();
   cv_space_.wait(lk, [&] {
-    return p.staging.size() < config_.staging_capacity;
+    return p.staging.size() < kStagingCapacity;
   });
   p.staging.push_back(msg);
   // Every future delivery is strictly above (at, seq) in (at, seq)
@@ -307,8 +295,8 @@ void ControllerService::dispatch_batch(const std::vector<ServiceMessage>& batch,
       slo_monitor_.record_latency(kSloDecision, end, latency);
       slo_monitor_.record_good(kSloLoss, end);
     }
-    if (recorder_ != nullptr && config_.latency_sample_every > 0 &&
-        decision_latency_.count() % config_.latency_sample_every == 0) {
+    if (recorder_ != nullptr &&
+        decision_latency_.count() % kLatencySampleEvery == 0) {
       recorder_->counter("service", "decision_latency_us", end,
                          latency * 1e6);
     }
@@ -343,18 +331,10 @@ void ControllerService::handle_message(const ServiceMessage& msg,
       ++stats_.link_reports;
       slo_note_availability(true, start);
       if (msg.inject) {
+        // First report of this failure instance: ground it.
         const net::Link& l = net.link(msg.link);
-        if (!net.link_failed(msg.link) && !net.node_failed(l.a) &&
-            !net.node_failed(l.b)) {
-          // Ground the failure in a physically broken interface on one
-          // side, so offline diagnosis has a real culprit to find.
-          net::NodeId bad_node = msg.bad_side == 0 ? l.a : l.b;
-          auto pos = fabric_->position_of_node(bad_node);
-          SBK_ASSERT(pos.has_value());
-          fabric_->set_interface_health(
-              {fabric_->device_at(*pos), fabric_->cs_of_link(msg.link)},
-              false);
-          net.fail_link(msg.link);
+        if (fabric_->ground_link_failure(msg.link,
+                                         msg.bad_side == 0 ? l.a : l.b)) {
           ++stats_.failures_injected;
         }
       }
@@ -393,11 +373,7 @@ void ControllerService::handle_message(const ServiceMessage& msg,
 void ControllerService::handle_operator(const ServiceMessage& msg) {
   switch (msg.op) {
     case OperatorOp::kRepairAll:
-      for (DeviceUid uid : switch_devices_) {
-        if (fabric_->device_state(uid) != DeviceState::kOut) continue;
-        controller_->on_device_repaired(uid);
-        ++stats_.repairs_performed;
-      }
+      stats_.repairs_performed += controller_->repair_out_of_service();
       break;
     case OperatorOp::kAckWatchdog:
       if (controller_->human_intervention_required()) {
@@ -423,8 +399,8 @@ void ControllerService::final_sweep() {
   // diagnosis work and the watchdog was clear — leftover parked
   // failures are pool-excused by then (their group's spares are gone).
   Seconds t = std::max(ingress_.stats().last_batch_end, 0.0);
-  for (std::size_t round = 0; round < config_.max_sweep_rounds; ++round) {
-    t += config_.sweep_step;
+  for (std::size_t round = 0; round < kMaxSettleRounds; ++round) {
+    t += kSettleStep;
     controller_->set_time(t);
     ++stats_.final_sweep_rounds;
     const bool tripped = controller_->human_intervention_required();

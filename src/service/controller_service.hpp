@@ -1,7 +1,8 @@
-// The always-on controller service (ROADMAP item 2): the ShareBackup
-// Controller stood up as a long-lived event-loop daemon that ingests a
-// continuous stream of failure reports, probe results, and operator
-// commands over the narrow ServiceMessage interface.
+// The always-on controller service (paper §4.1-4.2, under the §5.3
+// latency claim): the ShareBackup Controller stood up as a long-lived
+// event-loop daemon that ingests a continuous stream of failure reports,
+// probe results, and operator commands over the narrow ServiceMessage
+// interface.
 //
 // Architecture:
 //
@@ -103,19 +104,6 @@ struct ServiceConfig {
   /// Live SLO engine: streaming objectives, burn-rate alerts, health
   /// snapshots.
   ServiceSloConfig slo;
-  /// Per-producer staging bound; submit() blocks when full (this is the
-  /// wall-clock backpressure path — it bounds memory but never changes
-  /// virtual-time outcomes).
-  std::size_t staging_capacity = 1024;
-  /// Every Nth processed message also records its decision latency into
-  /// the flight recorder as a counter sample (all messages feed the
-  /// deterministic streaming histogram regardless).
-  std::size_t latency_sample_every = 64;
-  /// Shutdown settle: virtual-time step between rounds (a watchdog
-  /// window must be able to slide past the last report burst) and the
-  /// round cap.
-  Seconds sweep_step = 1.25;
-  std::size_t max_sweep_rounds = 16;
 };
 
 /// Deterministic service-level accounting (wall_seconds excepted — it is
@@ -314,9 +302,6 @@ class ControllerService {
   control::Controller* controller_;
   ServiceConfig config_;
   IngressQueue ingress_;
-  /// Closed switch-device universe for kRepairAll (every position's
-  /// seed device plus every initial spare), captured at construction.
-  std::vector<sharebackup::DeviceUid> switch_devices_;
   ServiceStats stats_;
   obs::slo::LogHistogram decision_latency_;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -1,6 +1,6 @@
-// Live controller-cluster failover inside the always-on service
-// (ROADMAP item 2, paper §5.1): the service drives a small cluster of
-// Controller replicas instead of exactly one. Failure reports fan out
+// Live controller-cluster failover inside the always-on service (paper
+// §5.1): the service drives a small cluster of Controller replicas
+// instead of exactly one. Failure reports fan out
 // to every live member; only the elected primary's dispatch touches the
 // shared Fabric. When the primary dies mid-stream the service performs
 // a deterministic state handoff and keeps going.

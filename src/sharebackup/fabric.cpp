@@ -22,6 +22,16 @@ Fabric::Fabric(const FabricParams& params)
   build_devices();
   build_circuit_switches();
   wire_defaults();
+  for (net::NodeId sw : ft_.all_switches()) {
+    switch_devices_.push_back(device_at(*position_of_node(sw)));
+  }
+  for (const std::vector<Group>* groups :
+       {&edge_groups_, &agg_groups_, &core_groups_}) {
+    for (const Group& g : *groups) {
+      switch_devices_.insert(switch_devices_.end(), g.spare.begin(),
+                             g.spare.end());
+    }
+  }
   check_invariants();
 }
 
@@ -32,7 +42,6 @@ DeviceUid Fabric::new_device(bool is_host, Layer layer, int grp,
   device_state_.push_back(DeviceState::kInService);
   device_ports_.emplace_back();
   iface_unhealthy_.emplace_back();
-  if (!is_host) ++switch_devices_;
   return uid;
 }
 
@@ -408,6 +417,22 @@ void Fabric::set_interface_health(InterfaceRef iface, bool healthy) {
   } else if (it == uncabled_unhealthy_.end()) {
     uncabled_unhealthy_.push_back(key);
   }
+}
+
+bool Fabric::ground_link_failure(net::LinkId link, net::NodeId culprit) {
+  net::Network& net = network();
+  const net::Link& l = net.link(link);
+  SBK_EXPECTS_MSG(culprit == l.a || culprit == l.b,
+                  "the culprit must be an endpoint of the link");
+  if (net.link_failed(link) || net.node_failed(l.a) || net.node_failed(l.b)) {
+    return false;
+  }
+  const std::optional<SwitchPosition> pos = position_of_node(culprit);
+  const DeviceUid dev =
+      pos.has_value() ? device_at(*pos) : device_of_host(culprit);
+  set_interface_health({dev, cs_of_link(link)}, false);
+  net.fail_link(link);
+  return true;
 }
 
 void Fabric::heal_device(DeviceUid uid) {

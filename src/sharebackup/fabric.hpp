@@ -102,6 +102,15 @@ class Fabric {
   [[nodiscard]] DeviceState device_state(DeviceUid uid) const;
   [[nodiscard]] std::vector<DeviceUid> spares(Layer layer, int group) const;
   [[nodiscard]] std::size_t switch_device_count() const noexcept {
+    return switch_devices_.size();
+  }
+  /// Every switch device, the closed set that failovers permute: each
+  /// position's device at construction, in fat_tree().all_switches()
+  /// order, then the edge, agg and core spares, group by group. The
+  /// repair crew walks it in this order, which decides repair order and
+  /// so which spare each later failover takes.
+  [[nodiscard]] const std::vector<DeviceUid>& switch_devices()
+      const noexcept {
     return switch_devices_;
   }
   /// Position currently served by an in-service device.
@@ -133,6 +142,13 @@ class Fabric {
   void set_interface_health(InterfaceRef iface, bool healthy);
   /// Heals every interface of a device (models repair).
   void heal_device(DeviceUid uid);
+  /// Grounds a link failure in a broken interface (§4.1-4.2: offline
+  /// diagnosis later pins it on one endpoint): breaks the `culprit`
+  /// endpoint's interface on the link's circuit switch (the device now
+  /// serving a switch position, or a host's NIC) and fails the link.
+  /// Does nothing and returns false when the link or either endpoint is
+  /// already down. `culprit` must be an endpoint of `link`.
+  bool ground_link_failure(net::LinkId link, net::NodeId culprit);
   /// True iff every interface of the device is healthy. The controller
   /// verifies a replacement with this after reconfiguration: a spare can
   /// be dead-on-arrival, in which case the failover must cascade to the
@@ -263,7 +279,7 @@ class Fabric {
   /// through the public API, vanishingly rare in practice (fault
   /// injectors mark cabled ends). Linear scan, usually empty.
   std::vector<std::uint64_t> uncabled_unhealthy_;
-  std::size_t switch_devices_ = 0;
+  std::vector<DeviceUid> switch_devices_;  ///< see switch_devices()
   /// Host device uid per global host index (hosts attach to layer-1 CS).
   std::vector<DeviceUid> host_device_;
   obs::Counter* m_failovers_ = nullptr;

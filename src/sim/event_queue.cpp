@@ -68,7 +68,6 @@ bool EventQueue::step() {
     std::pop_heap(sealed_.begin(), sealed_.end(), Later{});
     sealed_.pop_back();
   }
-  obs::ScopedSpan span(recorder_, "queue", "dispatch", now_);
   fn();
   return true;
 }

@@ -7,7 +7,6 @@
 #include <functional>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
@@ -16,13 +15,6 @@ namespace sbk::sim {
 class EventQueue {
  public:
   using Callback = std::function<void()>;
-
-  /// Records a wall-clock-timed "queue"/"dispatch" span per step() (the
-  /// span's sim timestamp is the event's fire time). nullptr detaches;
-  /// the recorder must outlive the queue.
-  void attach_recorder(obs::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
 
   /// Schedules `fn` at absolute time `at` (must not precede now()).
   void schedule_at(Seconds at, Callback fn);
@@ -90,7 +82,6 @@ class EventQueue {
   std::size_t pending_ = 0;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  obs::FlightRecorder* recorder_ = nullptr;
 };
 
 }  // namespace sbk::sim

@@ -28,6 +28,43 @@ FabricParams fp(int k, int n) {
   return p;
 }
 
+TEST(Controller, RepairOutOfServiceRepairsEveryOutDeviceInListOrder) {
+  Fabric fabric(fp(6, 2));
+  Controller ctrl(fabric, ControllerConfig{});
+  EXPECT_EQ(ctrl.repair_out_of_service(), 0u);
+  // Cores 3 and 1 share no group; core 3's device has the smaller uid,
+  // but core 1 comes first in the list.
+  for (SwitchPosition pos :
+       {SwitchPosition{Layer::kCore, -1, 3}, SwitchPosition{Layer::kAgg, 4, 1},
+        SwitchPosition{Layer::kCore, -1, 1},
+        SwitchPosition{Layer::kEdge, 2, 0}}) {
+    fabric.network().fail_node(fabric.node_at(pos));
+    ASSERT_TRUE(ctrl.on_switch_failure(pos).recovered);
+  }
+  std::vector<std::string> expected;
+  for (sharebackup::DeviceUid uid : fabric.switch_devices()) {
+    if (fabric.device_state(uid) == DeviceState::kOut) {
+      expected.push_back(fabric.device(uid).name + " healed, back in pool");
+    }
+  }
+  ASSERT_EQ(expected.size(), 4u);
+  const std::size_t audited = ctrl.audit_log().size();
+
+  EXPECT_EQ(ctrl.repair_out_of_service(), 4u);
+  std::vector<std::string> repaired;
+  for (std::size_t i = audited; i < ctrl.audit_log().size(); ++i) {
+    if (ctrl.audit_log()[i].event == "repair") {
+      repaired.push_back(ctrl.audit_log()[i].detail);
+    }
+  }
+  EXPECT_EQ(repaired, expected);
+  for (sharebackup::DeviceUid uid : fabric.switch_devices()) {
+    EXPECT_NE(fabric.device_state(uid), DeviceState::kOut);
+  }
+  EXPECT_EQ(ctrl.repair_out_of_service(), 0u);
+  fabric.check_invariants();
+}
+
 TEST(Controller, SwitchFailureRecoversViaBackup) {
   Fabric fabric(fp(6, 1));
   Controller ctrl(fabric, ControllerConfig{});

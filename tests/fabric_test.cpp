@@ -436,5 +436,111 @@ TEST(Fabric, InterfaceHealthRejectsOutOfRangeCircuitSwitchIds) {
   EXPECT_TRUE(fabric.interface_healthy(fine));
 }
 
+/// Every broken interface in the fabric, hosts included.
+std::vector<InterfaceRef> broken_interfaces(const Fabric& fabric) {
+  std::vector<InterfaceRef> out;
+  const std::size_t devices = fabric.switch_device_count() +
+                              static_cast<std::size_t>(
+                                  fabric.fat_tree().host_count());
+  for (DeviceUid uid = 0; uid < devices; ++uid) {
+    for (const Fabric::DevicePort& dp : fabric.ports_of_device(uid)) {
+      if (!fabric.interface_healthy({uid, dp.cs})) out.push_back({uid, dp.cs});
+    }
+  }
+  return out;
+}
+
+TEST(Fabric, GroundLinkFailureBreaksOnlyTheCulpritInterface) {
+  Fabric fabric(params(4, 1));
+  net::Network& net = fabric.network();
+  const net::NodeId edge = fabric.fat_tree().edge(1, 0);
+  const net::NodeId agg = fabric.fat_tree().agg(1, 1);
+  const net::LinkId link = *net.find_link(edge, agg);
+  const std::size_t cs = fabric.cs_of_link(link);
+  // The culprit is whatever device serves the position now, so a
+  // failover first moves the fault onto the replacement.
+  const auto replaced = fabric.fail_over(*fabric.position_of_node(agg));
+  ASSERT_TRUE(replaced.has_value());
+
+  EXPECT_TRUE(fabric.ground_link_failure(link, agg));
+  EXPECT_TRUE(net.link_failed(link));
+  EXPECT_EQ(broken_interfaces(fabric),
+            (std::vector<InterfaceRef>{{replaced->replacement, cs}}));
+  fabric.check_invariants();
+
+  // A link that is already down is refused and nothing changes.
+  EXPECT_FALSE(fabric.ground_link_failure(link, edge));
+  EXPECT_EQ(broken_interfaces(fabric).size(), 1u);
+
+  // So is a healthy link with either endpoint down.
+  const net::NodeId agg0 = fabric.fat_tree().agg(1, 0);
+  const net::LinkId other = *net.find_link(edge, agg0);
+  for (net::NodeId down : {edge, agg0}) {
+    net.fail_node(down);
+    EXPECT_FALSE(fabric.ground_link_failure(other, agg0));
+    EXPECT_FALSE(fabric.ground_link_failure(other, edge));
+    net.restore_node(down);
+  }
+  EXPECT_FALSE(net.link_failed(other));
+  EXPECT_EQ(broken_interfaces(fabric).size(), 1u);
+
+  // The culprit must be an endpoint of the link.
+  EXPECT_THROW(fabric.ground_link_failure(other, agg), ContractViolation);
+}
+
+TEST(Fabric, GroundLinkFailureOnAHostNic) {
+  Fabric fabric(params(4, 1));
+  const net::NodeId host = fabric.fat_tree().host(2, 1, 0);
+  const net::LinkId link = fabric.fat_tree().host_link(host);
+  EXPECT_TRUE(fabric.ground_link_failure(link, host));
+  EXPECT_TRUE(fabric.network().link_failed(link));
+  EXPECT_EQ(broken_interfaces(fabric),
+            (std::vector<InterfaceRef>{
+                {fabric.device_of_host(host), fabric.cs_of_link(link)}}));
+}
+
+TEST(Fabric, SwitchDevicesListsPositionsThenSparesGroupByGroup) {
+  // The list the repair crew walks, as each driver built it by hand
+  // before the fabric owned it.
+  auto driver_built = [](const Fabric& fabric) {
+    std::vector<DeviceUid> out;
+    for (net::NodeId sw : fabric.fat_tree().all_switches()) {
+      out.push_back(fabric.device_at(*fabric.position_of_node(sw)));
+    }
+    for (topo::Layer layer :
+         {topo::Layer::kEdge, topo::Layer::kAgg, topo::Layer::kCore}) {
+      for (int g = 0; g < topo::failure_group_count(fabric.k(), layer);
+           ++g) {
+        for (DeviceUid uid : fabric.spares(layer, g)) out.push_back(uid);
+      }
+    }
+    return out;
+  };
+  struct Backups {
+    int edge, agg, core;
+  };
+  for (int k : {4, 6, 8}) {
+    for (Backups b : {Backups{-1, -1, -1}, Backups{2, 1, 0},
+                      Backups{0, 3, 2}}) {
+      FabricParams p = params(k, 1);
+      p.backups_edge = b.edge;
+      p.backups_agg = b.agg;
+      p.backups_core = b.core;
+      Fabric fabric(p);
+      const std::vector<DeviceUid>& list = fabric.switch_devices();
+      EXPECT_EQ(list, driver_built(fabric)) << "k=" << k;
+      // Every switch device once, but not in uid order: uids interleave
+      // each group's spares with its positions.
+      std::vector<DeviceUid> sorted = list;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(sorted.size(), fabric.switch_device_count());
+      for (std::size_t i = 0; i < sorted.size(); ++i) {
+        EXPECT_EQ(sorted[i], static_cast<DeviceUid>(i));
+      }
+      EXPECT_FALSE(std::is_sorted(list.begin(), list.end())) << "k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sbk::sharebackup

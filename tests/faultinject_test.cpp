@@ -194,11 +194,6 @@ TEST(ReportStream, LeadingControllerCrashComesOutFirstAndMapsToPrimary) {
   ASSERT_NE(repair, stream.end());
   EXPECT_GT(repair->at, stream[0].at);
   EXPECT_EQ(repair->member, service::kClusterPrimary);
-  // Disabling cluster events strips them (and only them).
-  cfg.cluster_events = false;
-  const auto bare = build_report_stream(plan, cfg);
-  EXPECT_EQ(bare.size(), stream.size() - 2);
-  EXPECT_EQ(breakdown(bare).cluster_events, 0u);
 }
 
 // --- command-channel faults -------------------------------------------------

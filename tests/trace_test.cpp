@@ -382,7 +382,10 @@ TEST(TracedSweep, OutputIndependentOfThreadCount) {
 // The two digests below were recorded with the separate traced and SLO
 // sweeps that run_observed replaced, so they check it against an
 // independent implementation. A change to how the observed soak
-// samples, spans or merges moves them.
+// samples, spans or merges moves them. The traced digest was re-derived
+// when the event queue stopped recording a span per dispatched event:
+// from that implementation, with rings large enough that none wrapped
+// and every queue/dispatch event dropped.
 
 TEST(ObservedSoak, TracedOutputsMatchPinnedDigest) {
   const faultinject::ChaosSoakConfig cfg = soak_config(6, 1);
@@ -398,8 +401,32 @@ TEST(ObservedSoak, TracedOutputsMatchPinnedDigest) {
   telemetry.write_csv(tel);
   const std::uint64_t digest =
       fnv1a(deterministic_fingerprint(trace) + "#" + tel.str());
-  EXPECT_EQ(digest, 0xe3ce2c54d404237cULL) << std::hex << "digest 0x"
+  EXPECT_EQ(digest, 0xdddd6c0458dcfa98ULL) << std::hex << "digest 0x"
                                             << digest;
+}
+
+TEST(ObservedSoak, TraceKeepsEveryScenarioInjectionWindow) {
+  // Each scenario's ring must still hold the control-plane history of
+  // its fault window, not only the quiet settle tail.
+  const faultinject::ChaosSoakConfig cfg = soak_config(6, 1);
+  FlightRecorder trace(/*enabled=*/true,
+                       FlightRecorder::kDefaultCapacity * cfg.scenarios);
+  sweep::ObservedSinks sinks;
+  sinks.trace = &trace;
+  const faultinject::ChaosSoakReport report = run_chaos_soak(cfg, sinks);
+  EXPECT_TRUE(report.clean()) << report.summary();
+  const Seconds window_end =
+      cfg.plan.injection_window * cfg.plan.horizon;  // 1.2 s
+  std::vector<bool> seen(cfg.scenarios, false);
+  for (const TraceEvent& e : trace.events()) {
+    ASSERT_LT(e.track, cfg.scenarios);
+    if (e.category == "control" && e.ts < window_end) seen[e.track] = true;
+  }
+  for (std::size_t track = 0; track < cfg.scenarios; ++track) {
+    EXPECT_TRUE(seen[track]) << "scenario " << track
+                             << " kept no control event before "
+                             << window_end << " s";
+  }
 }
 
 TEST(ObservedSoak, SloOutputsMatchPinnedDigest) {

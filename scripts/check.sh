@@ -14,14 +14,18 @@
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection, control-plane,
-#                  simulator, detector, routing, baselines, fabric and
-#                  service suites under it — the chaos paths exercise the
-#                  allocation-heavy recovery machinery that ASan watches
-#                  best, the event queue indexes its slot arena through
-#                  a free list, the fluid simulator swap-erases per-slot
-#                  flow lists, the routers build structural paths by
-#                  index, the fabric grounds link faults and lists the
-#                  switch devices the repair crew walks, and the service
+#                  simulator, detector, routing, baselines, fabric,
+#                  service, incremental max-min and property suites under
+#                  it — the chaos paths exercise the allocation-heavy
+#                  recovery machinery that ASan watches best, the event
+#                  queue indexes its slot arena through a free list, the
+#                  fluid simulator swap-erases per-slot flow lists and
+#                  keeps indexed finish-time heaps and a tombstoned
+#                  active set (driven under both max-min modes by the
+#                  incremental max-min and fluid-conservation suites),
+#                  the routers build structural paths by index, the
+#                  fabric grounds link faults and lists the switch
+#                  devices the repair crew walks, and the service
 #                  dispatch path drives both.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
@@ -89,6 +93,20 @@
 #                  full-verification matrix.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Configures build directory $1 (further arguments are passed to cmake).
+# A fresh directory gets Ninja when it is installed; one configured
+# before keeps its generator, which cmake refuses to switch (the tier-1
+# `cmake -B build -S .` sets up build/ with Unix Makefiles).
+configure() {
+  local BUILD="$1"
+  shift
+  if [ -f "$BUILD/CMakeCache.txt" ] || ! command -v ninja >/dev/null; then
+    cmake -B "$BUILD" -S . "$@"
+  else
+    cmake -B "$BUILD" -S . -G Ninja "$@"
+  fi
+}
 
 run_trace_smoke() {
   local BUILD="$1"
@@ -263,7 +281,7 @@ fi
 
 if [ "$SLO_SMOKE" = 1 ]; then
   BUILD="${1:-build-bench}"
-  cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" --target service_soak sbk_trace
   run_slo_smoke "$BUILD" 30
   echo "slo-smoke: live SLO engine quiet when healthy, alerting on" \
@@ -273,7 +291,7 @@ fi
 
 if [ "$FAILOVER_SMOKE" = 1 ]; then
   BUILD="${1:-build-bench}"
-  cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" --target service_soak sbk_trace
   run_failover_smoke "$BUILD" 30
   echo "failover-smoke: replicated service survived all cluster scenarios"
@@ -282,7 +300,7 @@ fi
 
 if [ "$SERVICE_SMOKE" = 1 ]; then
   BUILD="${1:-build-bench}"
-  cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" --target service_soak
   # Gates: >= 100k failure reports processed (the stream carries
   # ~107k), >= 50k messages/s of wall throughput (the Release build
@@ -303,7 +321,7 @@ fi
 
 if [ "$SCALE_SMOKE" = 1 ]; then
   BUILD="${1:-build-bench}"
-  cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" --target scale_smoke
   # Committed budgets: the k=48 storm peaks near 25 MB and well under a
   # second on a developer box (flat CSR adjacency + incremental
@@ -318,7 +336,7 @@ fi
 
 if [ "$BASELINES_SMOKE" = 1 ]; then
   BUILD="${1:-build-baselines}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD" --target baseline_matrix
   # Fixed master seed: the matrix is bit-identical across runs and
   # thread counts, so any change here is a real behavior change.
@@ -361,7 +379,7 @@ fi
 
 if [ "$TRACE_SMOKE" = 1 ]; then
   BUILD="${1:-build-trace}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD" --target failure_drill sbk_trace
   run_trace_smoke "$BUILD"
   exit 0
@@ -369,7 +387,7 @@ fi
 
 if [ "$BENCH_SMOKE" = 1 ]; then
   BUILD="${1:-build-bench}"
-  cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
+  configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD" --target micro_perf
   "$BUILD"/bench/micro_perf --benchmark_min_time=0.01
   echo "bench-smoke: micro_perf ran all benchmarks"
@@ -378,7 +396,7 @@ fi
 
 if [ "$CHAOS_SMOKE" = 1 ]; then
   BUILD="${1:-build-chaos}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD" --target chaos_soak
   # Fixed master seed: the soak is bit-identical across runs and thread
   # counts, so a violation here is a regression, never flakiness.
@@ -406,10 +424,10 @@ fi
 
 if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
-  cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
+  configure "$BUILD" -DSBK_SANITIZE=address,undefined
   cmake --build "$BUILD" --target faultinject_test control_plane_test \
     sim_test control_test routing_test baselines_test fabric_test \
-    service_test
+    service_test incremental_max_min_test property_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/sim_test
@@ -418,15 +436,17 @@ if [ "$ASAN" = 1 ]; then
   "$BUILD"/tests/baselines_test
   "$BUILD"/tests/fabric_test
   "$BUILD"/tests/service_test
+  "$BUILD"/tests/incremental_max_min_test
+  "$BUILD"/tests/property_test
   echo "asan: faultinject_test + control_plane_test + sim_test +" \
     "control_test + routing_test + baselines_test + fabric_test +" \
-    "service_test clean"
+    "service_test + incremental_max_min_test + property_test clean"
   exit 0
 fi
 
 if [ "$TSAN" = 1 ]; then
   BUILD="${1:-build-tsan}"
-  cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=thread
+  configure "$BUILD" -DSBK_SANITIZE=thread
   cmake --build "$BUILD" --target sweep_test service_test trace_test
   # Run the sweep/thread-pool suite directly: it is the code that owns
   # all cross-thread state, and TSan halts with a non-zero exit on the
@@ -443,7 +463,7 @@ if [ "$TSAN" = 1 ]; then
 fi
 
 BUILD="${1:-build}"
-cmake -B "$BUILD" -G Ninja
+configure "$BUILD"
 cmake --build "$BUILD"
 ctest --test-dir "$BUILD" --output-on-failure
 

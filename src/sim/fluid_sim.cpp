@@ -1,6 +1,8 @@
 #include "sim/fluid_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 
 #include "net/path.hpp"
@@ -11,6 +13,10 @@ namespace sbk::sim {
 
 namespace {
 constexpr Seconds kTimeEps = 1e-12;
+/// Relative margin that keeps a drain_heap_ key at or below the first
+/// time the completion test passes despite rounding (the rounding is
+/// about 1e-16 relative; a key inside the margin costs one extra test).
+constexpr double kDrainKeyMargin = 1e-6;
 
 /// Directed-link slot, laid out as routing::LinkLoads lays it out.
 std::size_t slot_of(net::DirectedLink dl) {
@@ -18,14 +24,79 @@ std::size_t slot_of(net::DirectedLink dl) {
 }
 }  // namespace
 
+void FluidSimulator::FlowHeap::reset(std::size_t flows) {
+  heap_.clear();
+  pos_.assign(flows, kAbsent);
+}
+
+void FluidSimulator::FlowHeap::place(std::size_t at, Entry e) {
+  heap_[at] = e;
+  pos_[e.flow] = static_cast<std::uint32_t>(at);
+}
+
+void FluidSimulator::FlowHeap::sift_up(std::size_t at) {
+  const Entry e = heap_[at];
+  while (at > 0) {
+    const std::size_t parent = (at - 1) / 2;
+    if (!(e.key < heap_[parent].key)) break;
+    place(at, heap_[parent]);
+    at = parent;
+  }
+  place(at, e);
+}
+
+void FluidSimulator::FlowHeap::sift_down(std::size_t at) {
+  const Entry e = heap_[at];
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * at + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1].key < heap_[child].key) ++child;
+    if (!(heap_[child].key < e.key)) break;
+    place(at, heap_[child]);
+    at = child;
+  }
+  place(at, e);
+}
+
+void FluidSimulator::FlowHeap::set(std::uint32_t flow, Seconds key) {
+  const std::uint32_t at = pos_[flow];
+  if (at == kAbsent) {
+    heap_.push_back(Entry{key, flow});
+    sift_up(heap_.size() - 1);
+    return;
+  }
+  const Seconds old = heap_[at].key;
+  heap_[at].key = key;
+  if (key < old) {
+    sift_up(at);
+  } else {
+    sift_down(at);
+  }
+}
+
+void FluidSimulator::FlowHeap::erase(std::uint32_t flow) {
+  const std::uint32_t at = pos_[flow];
+  if (at == kAbsent) return;
+  pos_[flow] = kAbsent;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (at == heap_.size()) return;
+  place(at, last);
+  sift_up(at);
+  sift_down(pos_[last.flow]);
+}
+
 FluidSimulator::FluidSimulator(net::Network& net, routing::Router& router,
                                SimConfig cfg)
     : net_(&net), router_(&router), cfg_(cfg),
+      eps_units_(cfg.completion_epsilon_bytes / cfg.unit_bytes_per_second),
       loads_(net.link_count()) {
   SBK_EXPECTS(cfg_.unit_bytes_per_second > 0.0);
   SBK_EXPECTS(cfg_.horizon > 0.0);
   if (equal_share()) {
     slot_flows_.resize(net.link_count() * 2);
+    slot_share_.assign(net.link_count() * 2, 0.0);
     slot_marked_.assign(net.link_count() * 2, 0);
   }
 }
@@ -93,7 +164,7 @@ void FluidSimulator::admit(std::size_t idx, Seconds now) {
     return;
   }
   try_route(idx, now, /*is_reroute=*/false);
-  if (f.active) active_.push_back(idx);
+  if (f.active) activate(idx, now);
 }
 
 void FluidSimulator::finish_flow(std::size_t idx, Seconds now) {
@@ -101,13 +172,39 @@ void FluidSimulator::finish_flow(std::size_t idx, Seconds now) {
   // Instantly-completing flows (local / zero-byte) never held links or a
   // slot in the active set, so they leave the allocation untouched.
   if (f.active || !f.dlinks.empty()) rates_dirty_ = true;
+  if (f.active) deactivate(idx);
   f.done = true;
   f.active = false;
   f.stalled = false;
   remaining_[idx] = 0.0;
   detach_links(idx);
-  rate_[idx] = 0.0;
   f.finish = now;
+}
+
+void FluidSimulator::activate(std::size_t idx, Seconds now) {
+  active_pos_[idx] = static_cast<std::uint32_t>(active_.size());
+  active_.push_back(static_cast<std::uint32_t>(idx));
+  ++live_count_;
+  since_[idx] = now;
+}
+
+void FluidSimulator::deactivate(std::size_t idx) {
+  active_[active_pos_[idx]] = kTombstone;
+  --live_count_;
+  finish_heap_.erase(static_cast<std::uint32_t>(idx));
+  drain_heap_.erase(static_cast<std::uint32_t>(idx));
+  rate_[idx] = 0.0;
+}
+
+void FluidSimulator::compact_active() {
+  if (active_.size() - live_count_ <= live_count_) return;
+  std::size_t out = 0;
+  for (std::uint32_t idx : active_) {
+    if (idx == kTombstone) continue;
+    active_pos_[idx] = static_cast<std::uint32_t>(out);
+    active_[out++] = idx;
+  }
+  active_.resize(out);
 }
 
 void FluidSimulator::attach_links(std::size_t idx) {
@@ -159,16 +256,60 @@ void FluidSimulator::mark_slot(std::size_t slot) {
   marked_slots_.push_back(static_cast<std::uint32_t>(slot));
 }
 
+void FluidSimulator::refresh_share(std::size_t slot) {
+  // capacity / flow-count; loads_ holds the per-directed-link counts.
+  const net::DirectedLink dl{net::LinkId(static_cast<std::uint32_t>(slot / 2)),
+                             slot % 2 == 0};
+  slot_share_[slot] =
+      net_->link(dl.link).capacity / std::max(1.0, loads_.get(dl));
+}
+
 double FluidSimulator::equal_share_rate(std::size_t idx) const {
-  // min over the path of capacity / flow-count; loads_ holds the
-  // per-directed-link flow counts.
+  // min over the path of the slots' equal shares.
   double rate = std::numeric_limits<double>::infinity();
   for (net::DirectedLink dl : flows_[idx].dlinks) {
-    double share =
-        net_->link(dl.link).capacity / std::max(1.0, loads_.get(dl));
-    rate = std::min(rate, share);
+    rate = std::min(rate, slot_share_[slot_of(dl)]);
   }
   return rate;
+}
+
+double FluidSimulator::remaining_at(std::size_t idx, Seconds now) const {
+  // dt > 0 guard: a link-less flow's rate is +inf, and inf * 0 is NaN.
+  const Seconds dt = now - since_[idx];
+  if (!(dt > 0.0)) return remaining_[idx];
+  return remaining_[idx] - rate_[idx] * cfg_.unit_bytes_per_second * dt;
+}
+
+void FluidSimulator::settle(std::size_t idx, Seconds now) {
+  remaining_[idx] = remaining_at(idx, now);
+  since_[idx] = now;
+}
+
+void FluidSimulator::set_rate(std::size_t idx, double rate, Seconds now) {
+  if (std::bit_cast<std::uint64_t>(rate) ==
+      std::bit_cast<std::uint64_t>(rate_[idx])) {
+    return;
+  }
+  settle(idx, now);
+  rate_[idx] = rate;
+  schedule_finish(idx);
+}
+
+void FluidSimulator::schedule_finish(std::size_t idx) {
+  const auto flow = static_cast<std::uint32_t>(idx);
+  const double rate = rate_[idx];
+  if (!(rate > 0.0)) {
+    finish_heap_.erase(flow);
+    drain_heap_.erase(flow);
+    return;
+  }
+  const Seconds t_done =
+      since_[idx] + (remaining_[idx] / cfg_.unit_bytes_per_second) / rate;
+  // From t_drained on, remaining / unit <= eps_units_ + rate * kTimeEps.
+  const Seconds t_drained = t_done - (eps_units_ / rate + kTimeEps);
+  finish_heap_.set(flow, t_done);
+  drain_heap_.set(flow, t_drained - kDrainKeyMargin *
+                                        std::max(1.0, std::abs(t_drained)));
 }
 
 void FluidSimulator::recompute_rates(Seconds now) {
@@ -178,14 +319,20 @@ void FluidSimulator::recompute_rates(Seconds now) {
   if (equal_share()) {
     if (rerate_all_) {
       rerate_all_ = false;
-      for (std::size_t idx : active_) rate_[idx] = equal_share_rate(idx);
+      for (std::size_t slot = 0; slot < slot_share_.size(); ++slot) {
+        refresh_share(slot);
+      }
+      for (std::uint32_t idx : active_) {
+        if (idx != kTombstone) set_rate(idx, equal_share_rate(idx), now);
+      }
     } else {
       // Only flows on a slot whose count moved can have a new rate.
+      for (std::uint32_t s : marked_slots_) refresh_share(s);
       for (std::uint32_t s : marked_slots_) {
         for (const SlotMember& m : slot_flows_[s]) {
           if (rated_round_[m.flow] == allocation_rounds_) continue;
           rated_round_[m.flow] = allocation_rounds_;
-          rate_[m.flow] = equal_share_rate(m.flow);
+          set_rate(m.flow, equal_share_rate(m.flow), now);
         }
       }
     }
@@ -197,27 +344,57 @@ void FluidSimulator::recompute_rates(Seconds now) {
     // Re-solve only the components dirtied since the last event; every
     // other active flow keeps its previous (still-valid) rate.
     inc_.solve();
-    for (std::size_t idx : active_) {
-      rate_[idx] = inc_.rate(flows_[idx].alloc_slot);
+    for (std::uint32_t idx : active_) {
+      if (idx != kTombstone) {
+        set_rate(idx, inc_.rate(flows_[idx].alloc_slot), now);
+      }
     }
     return;
   }
   // Feed the active flows' pinned links straight into the solver as
   // spans — no per-event Demand materialization — and reuse its scratch
   // arrays (and rates_) across events.
-  solver_.begin(*net_, active_.size());
-  for (std::size_t idx : active_) {
-    solver_.add_demand(flows_[idx].dlinks);
+  solver_.begin(*net_, live_count_);
+  for (std::uint32_t idx : active_) {
+    if (idx != kTombstone) solver_.add_demand(flows_[idx].dlinks);
   }
   solver_.solve_into(rates_);
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    rate_[active_[i]] = rates_[i];
+  std::size_t i = 0;
+  for (std::uint32_t idx : active_) {
+    if (idx != kTombstone) set_rate(idx, rates_[i++], now);
   }
+}
+
+void FluidSimulator::complete_drained(Seconds now) {
+  due_.clear();
+  while (!drain_heap_.empty() && drain_heap_.top_key() <= now) {
+    const std::uint32_t idx = drain_heap_.top();
+    const double remaining = remaining_at(idx, now);
+    if (remaining <= cfg_.completion_epsilon_bytes ||
+        remaining / cfg_.unit_bytes_per_second <=
+            eps_units_ + rate_[idx] * kTimeEps) {
+      drain_heap_.erase(idx);
+      due_.push_back(idx);
+    } else {
+      // Keyed inside the rounding margin: look again at the next event.
+      drain_heap_.set(idx, std::nextafter(
+                               now, std::numeric_limits<double>::infinity()));
+    }
+  }
+  // In active-set order, as one pass over the active set would finish
+  // them: the order of the slot-list and allocator updates follows it.
+  std::sort(due_.begin(), due_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return active_pos_[a] < active_pos_[b];
+            });
+  for (std::uint32_t idx : due_) finish_flow(idx, now);
+  compact_active();
 }
 
 void FluidSimulator::fill_directed_utilization(std::vector<double>& used) const {
   used.assign(net_->link_count() * 2, 0.0);
-  for (std::size_t idx : active_) {
+  for (std::uint32_t idx : active_) {
+    if (idx == kTombstone) continue;
     for (net::DirectedLink dl : flows_[idx].dlinks) {
       used[slot_of(dl)] += rate_[idx];
     }
@@ -225,10 +402,12 @@ void FluidSimulator::fill_directed_utilization(std::vector<double>& used) const 
 }
 
 double FluidSimulator::mean_active_rate() const {
-  if (active_.empty()) return 0.0;
+  if (live_count_ == 0) return 0.0;
   double sum = 0.0;
-  for (std::size_t idx : active_) sum += rate_[idx];
-  return sum / static_cast<double>(active_.size());
+  for (std::uint32_t idx : active_) {
+    if (idx != kTombstone) sum += rate_[idx];
+  }
+  return sum / static_cast<double>(live_count_);
 }
 
 double FluidSimulator::link_utilization_mean() const {
@@ -262,10 +441,13 @@ void FluidSimulator::handle_topology_change(Seconds now) {
   // Handle active flows whose pinned path died: re-route them (rerouting
   // architectures) or stall them on their pinned path (blackhole model —
   // they resume when the path comes back, e.g. after a ShareBackup
-  // repair).
-  for (std::size_t idx : active_) {
+  // repair). A rerouted flow keeps its place in the active set.
+  for (std::size_t pos = 0; pos < active_.size(); ++pos) {
+    const std::uint32_t idx = active_[pos];
+    if (idx == kTombstone) continue;
     FlowState& f = flows_[idx];
     if (net::is_live_path(*net_, f.path)) continue;
+    settle(idx, now);
     detach_links(idx);
     f.active = false;
     rates_dirty_ = true;
@@ -274,13 +456,8 @@ void FluidSimulator::handle_topology_change(Seconds now) {
     } else {
       f.stalled = true;  // keeps f.path pinned
     }
+    if (!f.active) deactivate(idx);
   }
-  // Drop de-activated (now stalled) flows from the active set.
-  active_.erase(std::remove_if(active_.begin(), active_.end(),
-                               [this](std::size_t idx) {
-                                 return !flows_[idx].active;
-                               }),
-                active_.end());
   // Give stalled flows (including freshly stalled ones) a chance: paths
   // may have come back.
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
@@ -294,13 +471,14 @@ void FluidSimulator::handle_topology_change(Seconds now) {
         attach_links(idx);
         f.stalled = false;
         f.active = true;
-        active_.push_back(idx);
+        activate(idx, now);
       }
       continue;
     }
     try_route(idx, now, /*is_reroute=*/true);
-    if (f.active) active_.push_back(idx);
+    if (f.active) activate(idx, now);
   }
+  compact_active();
 }
 
 std::vector<FlowResult> FluidSimulator::run() {
@@ -310,6 +488,14 @@ std::vector<FlowResult> FluidSimulator::run() {
   // baseline whatever direct mutations the caller made before run();
   // every later mutation arrives through an action, which re-diffs.
   if (use_incremental()) inc_.bind(*net_);
+  // The per-flow arrays are sized once. The heaps and active_ hold only
+  // active flows and grow to their peak; reserving them for every flow
+  // raised fig1c's peak RSS.
+  const std::size_t n = flows_.size();
+  since_.assign(n, 0.0);
+  active_pos_.assign(n, 0);
+  finish_heap_.reset(n);
+  drain_heap_.reset(n);
 
   // Arrival order by start time (stable on ties by id for determinism).
   std::vector<std::size_t> arrivals(flows_.size());
@@ -329,11 +515,9 @@ std::vector<FlowResult> FluidSimulator::run() {
   std::size_t next_action = 0;
   Seconds now = 0.0;
   if (telemetry_ != nullptr) telemetry_->start(0.0);
-  const double eps_units =
-      cfg_.completion_epsilon_bytes / cfg_.unit_bytes_per_second;
 
   while (true) {
-    bool have_work = !active_.empty() || next_arrival < arrivals.size() ||
+    bool have_work = live_count_ > 0 || next_arrival < arrivals.size() ||
                      next_action < actions_.size();
     if (!have_work || now >= cfg_.horizon) break;
 
@@ -346,19 +530,14 @@ std::vector<FlowResult> FluidSimulator::run() {
       t_next = std::min(t_next, actions_[next_action].when);
     }
     ++events_processed_;
-    if (!active_.empty()) {
+    if (live_count_ > 0) {
       if (rates_dirty_) {
         recompute_rates(now);
       } else {
         ++recompute_skips_;
       }
-      for (std::size_t idx : active_) {
-        const double rate = rate_[idx];
-        if (rate > 0.0) {
-          Seconds t_done =
-              now + (remaining_[idx] / cfg_.unit_bytes_per_second) / rate;
-          t_next = std::min(t_next, t_done);
-        }
+      if (!finish_heap_.empty()) {
+        t_next = std::min(t_next, finish_heap_.top_key());
       }
     }
     SBK_ASSERT_MSG(t_next >= now - kTimeEps, "time must move forward");
@@ -368,29 +547,12 @@ std::vector<FlowResult> FluidSimulator::run() {
     // rates that governed that interval are still in place.
     if (telemetry_ != nullptr) telemetry_->advance_to(t_next);
 
-    // 1) Advance fluid state to t_next and complete the flows due then,
-    // one flow at a time (a completion touches only its own entries).
-    // This runs before the horizon check: a flow whose remaining volume
-    // drains exactly at the horizon has completed at that instant and
-    // must not be reported unfinished.
-    const Seconds dt = t_next - now;
+    // 1) Complete the flows drained by t_next. This runs before the
+    // horizon check: a flow whose remaining volume drains exactly at the
+    // horizon has completed at that instant and must not be reported
+    // unfinished.
     now = t_next;
-    still_active_.clear();
-    for (std::size_t idx : active_) {
-      const double rate = rate_[idx];
-      if (dt > 0.0) {
-        remaining_[idx] -= rate * cfg_.unit_bytes_per_second * dt;
-      }
-      const double remaining = remaining_[idx];
-      if (remaining <= cfg_.completion_epsilon_bytes ||
-          (rate > 0.0 && remaining / cfg_.unit_bytes_per_second <=
-                             eps_units + rate * kTimeEps)) {
-        finish_flow(idx, now);
-      } else {
-        still_active_.push_back(idx);
-      }
-    }
-    active_.swap(still_active_);
+    complete_drained(now);
     if (now >= cfg_.horizon) break;
 
     // 2) arrivals due now
@@ -423,6 +585,11 @@ std::vector<FlowResult> FluidSimulator::run() {
       }
       handle_topology_change(now);
     }
+  }
+
+  // Unfinished flows report their bytes left at the horizon.
+  for (std::uint32_t idx : active_) {
+    if (idx != kTombstone) settle(idx, now);
   }
 
   // Collect results.

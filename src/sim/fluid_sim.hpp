@@ -7,14 +7,39 @@
 // Under per-link equal share a flow's rate is min over its directed
 // links of capacity / flow count, so it can move only when the count
 // on one of its links moves or a capacity changes. The simulator keeps
-// the active flows of every directed-link slot and marks a slot
-// whenever its count moves (arrival, completion, path death, reroute,
-// path-pinned resume). A recompute re-rates only the flows on marked
-// slots; after a topology action that bumps
-// Network::topology_version() it re-rates every active flow, because
-// capacities may have changed. Every other flow's rate is the value the
-// same expression would give again, so outputs are bit-identical to
-// re-rating everything on every event.
+// the active flows of every directed-link slot, each slot's equal share
+// (capacity / max(1, count)), and marks a slot whenever its count moves
+// (arrival, completion, path death, reroute, path-pinned resume). A
+// recompute refreshes the marked slots' shares and re-rates only the
+// flows on them; after a topology action that bumps
+// Network::topology_version() it refreshes every share and re-rates
+// every active flow, because capacities may have changed. Every other
+// flow's rate is the value the same expression would give again.
+//
+// The event loop costs O(touched · log n) per event, not O(active):
+//   * Settled state. A flow's remaining bytes are exact at a stored time
+//     since_, and its rate has not changed since. They are settled
+//     (remaining -= rate · bytes/unit · (now − since)) only when the rate
+//     changes, when the flow leaves the active set (stall, reroute,
+//     finish), and once for every active flow when run() ends.
+//   * Finish heap. Each flow with a positive rate has its projected
+//     finish time, since + remaining / rate, in an indexed min-heap,
+//     re-keyed only when its rate moves bitwise. Its top is the next
+//     completion event.
+//   * Completion window. At an event time T a flow completes when its
+//     settled remaining is at most completion_epsilon_bytes plus what it
+//     moves in 1 ps, the test a per-event pass over every flow would
+//     make. That test passes from T* = finish − (epsilon / rate + 1 ps)
+//     on, so a second indexed heap holds T* less a 1e-6 relative margin
+//     for rounding; every flow it yields at T gets the exact test (a
+//     rejected one is looked at again at the next event). Flows that
+//     drain within about half a byte of each other so complete at one
+//     event, and the flows due at T finish in active-set order.
+// Rates, the sequence of events and the completion order are those of
+// settling every flow at every event; event and finish times can differ
+// from that in the last bits only, because the same bytes are debited
+// in fewer steps (tests/sim_test.cpp, FluidSim.MatchesEagerReference,
+// bounds it).
 //
 // Failure recovery policies plug in two ways:
 //   * the Router decides paths (rerouting baselines);
@@ -137,7 +162,7 @@ class FluidSimulator {
 
   // --- telemetry probe accessors (valid mid-run, cheap to call) ---------
   [[nodiscard]] std::size_t active_flow_count() const noexcept {
-    return active_.size();
+    return live_count_;
   }
   /// Mean rate (capacity units/s) over active flows; 0 when none.
   [[nodiscard]] double mean_active_rate() const;
@@ -173,37 +198,98 @@ class FluidSimulator {
     Seconds when;
     std::function<void(net::Network&)> fn;
   };
+  /// Binary min-heap of flows keyed by a time, with every flow's heap
+  /// position kept so that a key moves or leaves in O(log n).
+  class FlowHeap {
+   public:
+    void reset(std::size_t flows);
+    /// Inserts `flow` or moves its key.
+    void set(std::uint32_t flow, Seconds key);
+    /// Removes `flow` if present.
+    void erase(std::uint32_t flow);
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+    [[nodiscard]] std::uint32_t top() const { return heap_.front().flow; }
+    [[nodiscard]] Seconds top_key() const { return heap_.front().key; }
+
+   private:
+    struct Entry {
+      Seconds key;
+      std::uint32_t flow;
+    };
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+    void place(std::size_t at, Entry e);
+    void sift_up(std::size_t at);
+    void sift_down(std::size_t at);
+    std::vector<Entry> heap_;
+    std::vector<std::uint32_t> pos_;  // per flow: index in heap_ or kAbsent
+  };
+  /// Marks a removed entry of active_ until the next compaction.
+  static constexpr std::uint32_t kTombstone = ~std::uint32_t{0};
 
   void admit(std::size_t idx, Seconds now);
   void try_route(std::size_t idx, Seconds now, bool is_reroute);
   void finish_flow(std::size_t idx, Seconds now);
+  /// activate appends flow idx to the active set with since_ = now;
+  /// deactivate takes it out (tombstone, both heaps, rate 0).
+  void activate(std::size_t idx, Seconds now);
+  void deactivate(std::size_t idx);
+  /// Drops the tombstones from active_ once they outnumber the live
+  /// entries, keeping the live order.
+  void compact_active();
   /// Puts flow idx on its dlinks (loads, allocator, slot lists) and
   /// releases them; every change of a link's flow count goes through
   /// these two.
   void attach_links(std::size_t idx);
   void detach_links(std::size_t idx);
   void mark_slot(std::size_t slot);
+  void refresh_share(std::size_t slot);
   [[nodiscard]] double equal_share_rate(std::size_t idx) const;
+  /// Flow idx's remaining bytes at `now` under its current rate;
+  /// settle stores that value with since_ = now.
+  [[nodiscard]] double remaining_at(std::size_t idx, Seconds now) const;
+  void settle(std::size_t idx, Seconds now);
+  /// Settles and re-keys flow idx when `rate` differs bitwise from its
+  /// current rate.
+  void set_rate(std::size_t idx, double rate, Seconds now);
+  /// Keys flow idx in both heaps from its settled state, or takes it
+  /// out of them when its rate is not positive.
+  void schedule_finish(std::size_t idx);
   void recompute_rates(Seconds now);
+  /// Completes every flow whose remaining bytes pass the completion
+  /// test at `now`.
+  void complete_drained(Seconds now);
   void handle_topology_change(Seconds now);
   void fill_directed_utilization(std::vector<double>& used) const;
 
   net::Network* net_;
   routing::Router* router_;
   SimConfig cfg_;
+  double eps_units_;  // completion_epsilon_bytes in capacity-unit seconds
   std::vector<FlowState> flows_;
-  /// Hot per-flow state, indexed like flows_ and kept out of FlowState
-  /// so the per-event passes stream two dense arrays.
+  /// Hot per-flow state, indexed like flows_ and kept out of FlowState:
+  /// remaining_ holds the bytes left at time since_, and rate_ has held
+  /// since then (see the file comment).
   std::vector<double> remaining_;  // bytes
   std::vector<double> rate_;       // capacity units / second
+  std::vector<Seconds> since_;
   std::vector<Action> actions_;
   routing::LinkLoads loads_;
-  std::vector<std::size_t> active_;
-  std::vector<std::size_t> still_active_;  // scratch for the completion pass
-  /// Equal share only: active flows per directed-link slot, the slots
-  /// whose count moved since the last recompute, and whether the next
-  /// recompute must re-rate every active flow instead.
+  /// Active flows in activation order, with kTombstone where a flow
+  /// left; active_pos_ is each active flow's index in it.
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint32_t> active_pos_;
+  std::size_t live_count_ = 0;
+  /// Projected finish times, and the earliest times the completion
+  /// test can pass, of the active flows with a positive rate.
+  FlowHeap finish_heap_;
+  FlowHeap drain_heap_;
+  std::vector<std::uint32_t> due_;  // scratch for complete_drained
+  /// Equal share only: active flows per directed-link slot, each slot's
+  /// equal share, the slots whose count moved since the last recompute,
+  /// and whether the next recompute must refresh every slot and re-rate
+  /// every active flow instead.
   std::vector<std::vector<SlotMember>> slot_flows_;
+  std::vector<double> slot_share_;
   std::vector<std::uint8_t> slot_marked_;
   std::vector<std::uint32_t> marked_slots_;
   std::vector<std::size_t> rated_round_;  // per flow: last re-rate round

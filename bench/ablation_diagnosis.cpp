@@ -8,10 +8,12 @@
 // stays consumed, doubling the number of link failures a group can ride
 // out — the paper's "n independent link failures per failure group".
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "control/controller.hpp"
 #include "sharebackup/fabric.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 using namespace sbk;
@@ -79,10 +81,12 @@ Outcome replay(bool with_diagnosis, int k, int n, std::size_t events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const int n = static_cast<int>(bench::arg_int(argc, argv, "n", 1));
-  const auto events =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "events", 40));
+  const std::optional<cli::IntFlags> flags =
+      cli::parse_int_flags(argc, argv, {{"k", 8}, {"n", 1}, {"events", 40}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const int n = static_cast<int>(flags->get("n"));
+  const auto events = static_cast<std::size_t>(flags->get("events"));
 
   bench::banner("A3 / ablation — offline diagnosis on/off",
                 "Sequence of link failures, each rooted at one faulty "

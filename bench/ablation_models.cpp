@@ -13,12 +13,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "pktsim/packet_sim.hpp"
 #include "routing/global_reroute.hpp"
 #include "sim/fluid_sim.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/coflow_gen.hpp"
 
@@ -88,7 +90,10 @@ void collect(const std::map<sim::CoflowId, double>& healthy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 4));
+  const std::optional<cli::IntFlags> flags =
+      cli::parse_int_flags(argc, argv, {{"k", 4}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
   bench::banner("A1 / ablation — fluid vs packet-level failure impact",
                 "Identical trace + single edge-switch failure (100 ms "
                 "outage) under three network models.");

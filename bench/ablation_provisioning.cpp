@@ -10,6 +10,7 @@
 // a --threads=1 run.
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -17,6 +18,7 @@
 #include "cost/cost_model.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sweep/sweep.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -125,11 +127,12 @@ sharebackup::FabricParams fabric_params(int k, const ProvisioningRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const auto years =
-      static_cast<double>(bench::arg_int(argc, argv, "years", 50));
-  const auto threads =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "threads", 0));
+  const std::optional<cli::IntFlags> flags = cli::parse_int_flags(
+      argc, argv, {{"k", 8}, {"years", 50}, {"threads", 0}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const auto years = static_cast<double>(flags->get("years"));
+  const auto threads = static_cast<std::size_t>(flags->get("threads"));
   bench::banner("A2 / ablation — backup provisioning vs survivability & cost",
                 "Year-scale Poisson failure storms (99.99% availability, "
                 "5-min MTTR) against the real fabric + controller; "

@@ -35,15 +35,4 @@ inline std::string fmt_pct(double fraction, int precision = 2) {
   return buf;
 }
 
-/// Parses "--key=value" style overrides; returns value or fallback.
-inline long long arg_int(int argc, char** argv, const std::string& key,
-                         long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
-  }
-  return fallback;
-}
-
 }  // namespace sbk::bench

@@ -3,21 +3,24 @@
 // rack-level fat-tree (128 racks, 10:1 oversubscribed) with ECMP routing.
 // A flow is affected if its path traverses a failed switch or link.
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "bench_workload.hpp"
 #include "routing/ecmp.hpp"
 #include "sim/failure_analysis.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 
 using namespace sbk;
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 16));
-  const auto coflows =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "coflows", 250));
-  const auto trials =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "trials", 30));
+  const std::optional<cli::IntFlags> flags = cli::parse_int_flags(
+      argc, argv, {{"k", 16}, {"coflows", 250}, {"trials", 30}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const auto coflows = static_cast<std::size_t>(flags->get("coflows"));
+  const auto trials = static_cast<std::size_t>(flags->get("trials"));
 
   bench::banner(
       "E1 / Figure 1(a) — % of flows affected by failures",

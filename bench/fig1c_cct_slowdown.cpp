@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "bench_util.hpp"
@@ -52,6 +53,7 @@
 #include "sharebackup/fabric.hpp"
 #include "sim/fluid_sim.hpp"
 #include "sweep/sweep.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 
 using namespace sbk;
@@ -209,15 +211,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 16));
-  const auto coflows =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "coflows", 200));
-  const auto scenarios =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "scenarios", 3));
-  g_use_maxmin = bench::arg_int(argc, argv, "maxmin", 0) != 0;
-  g_xm = static_cast<double>(bench::arg_int(argc, argv, "xm", 1000000000LL));
-  const auto threads =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "threads", 0));
+  const std::optional<cli::IntFlags> flags = cli::parse_int_flags(
+      argc, argv,
+      {{"k", 16}, {"coflows", 200}, {"scenarios", 3}, {"maxmin", 0},
+       {"xm", 1000000000LL}, {"threads", 0}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const auto coflows = static_cast<std::size_t>(flags->get("coflows"));
+  const auto scenarios = static_cast<std::size_t>(flags->get("scenarios"));
+  g_use_maxmin = flags->get("maxmin") != 0;
+  g_xm = static_cast<double>(flags->get("xm"));
+  const auto threads = static_cast<std::size_t>(flags->get("threads"));
   const Seconds duration = 300.0;
 
   bench::banner(

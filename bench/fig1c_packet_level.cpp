@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "bench_util.hpp"
@@ -17,6 +18,7 @@
 #include "routing/f10.hpp"
 #include "routing/global_reroute.hpp"
 #include "sharebackup/fabric.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/coflow_gen.hpp"
 
@@ -107,11 +109,12 @@ void print_series(const char* label, const Series& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const auto coflows =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "coflows", 60));
-  const auto scenarios =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "scenarios", 2));
+  const std::optional<cli::IntFlags> flags = cli::parse_int_flags(
+      argc, argv, {{"k", 8}, {"coflows", 60}, {"scenarios", 2}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const auto coflows = static_cast<std::size_t>(flags->get("coflows"));
+  const auto scenarios = static_cast<std::size_t>(flags->get("scenarios"));
 
   bench::banner(
       "E3b / Figure 1(c), packet level — CCT slowdown under one failure",

@@ -16,7 +16,7 @@
 #include "pktsim/packet_sim.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/global_reroute.hpp"
-#include "routing/impersonation.hpp"
+#include "routing/table_forwarding.hpp"
 #include "service/controller_service.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sharebackup/leaf_spine.hpp"
@@ -381,13 +381,13 @@ void BM_CombinedTableLookup(benchmark::State& state) {
 BENCHMARK(BM_CombinedTableLookup);
 
 void BM_ForwardingWalk(benchmark::State& state) {
-  routing::ImpersonationStore store(16, 1);
-  routing::ForwardingSim sim(store);
+  // One inter-pod packet walked over the k=16 group tables.
+  topo::FatTree ft(topo::FatTreeParams{.k = 16});
+  routing::TableForwarding fwd(ft);
   int i = 0;
   for (auto _ : state) {
-    auto t = sim.walk(routing::HostAddr{0, 0, i % 8},
-                      routing::HostAddr{15, 7, (i + 3) % 8});
-    benchmark::DoNotOptimize(t.delivered);
+    auto r = fwd.walk(ft.host(0, 0, i % 8), ft.host(15, 7, (i + 3) % 8));
+    benchmark::DoNotOptimize(r.delivered);
     ++i;
   }
 }
@@ -561,11 +561,15 @@ void BM_FluidSimFailureStorm(benchmark::State& state) {
   // Datacenter-scale end-to-end: a k=48 fat-tree (27,648 hosts; hoisted
   // — building it is BM_FatTreeBuild/48's job) carrying pod-local
   // hotspot traffic through a storm of capacity drain/restore pairs.
-  // Every storm event dirties exactly one pod's component, so the
-  // default incremental allocator re-solves a few dozen flows per event
-  // where a full resolve would redo the whole population. Each drain is
-  // paired with a restore to the original capacity, leaving the hoisted
-  // network pristine between iterations.
+  // Pod p's flows start at 0.5 + p and need 1 to 2 seconds of their fair
+  // share of the hotspot uplink, so all of them are live across its
+  // drain (1 + p) and restore (1.5 + p), and they finish at different
+  // events (as in examples/scale_smoke). Every storm event dirties
+  // exactly one pod's component, so the default incremental allocator
+  // re-solves a few dozen flows per event where a full resolve would
+  // redo the whole population. Each drain is paired with a restore to
+  // the original capacity, leaving the hoisted network pristine between
+  // iterations.
   topo::FatTree ft(topo::FatTreeParams{.k = 48});
   routing::EcmpRouter router(ft);
   constexpr int kStormPods = 12;
@@ -582,8 +586,9 @@ void BM_FluidSimFailureStorm(benchmark::State& state) {
       fs.id = id++;
       fs.src = src;
       fs.dst = ft.host(p * hosts_per_pod + 1 + f);
-      fs.bytes = 1.0;
-      fs.start = 0.0;
+      fs.bytes = sim::SimConfig{}.unit_bytes_per_second * (kPerPod + f) /
+                 (kPerPod * kPerPod);
+      fs.start = 0.5 + p;
       flows.push_back(fs);
     }
   }

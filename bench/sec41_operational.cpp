@@ -5,22 +5,25 @@
 // *measured* outage durations per failure — the operational quantity the
 // paper's recovery-latency argument (§5.3) is about.
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 
 #include "bench_util.hpp"
 #include "control/control_plane.hpp"
 #include "net/algo.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 using namespace sbk;
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const auto horizon =
-      static_cast<double>(bench::arg_int(argc, argv, "seconds", 120));
-  const auto mean_gap_ms =
-      static_cast<double>(bench::arg_int(argc, argv, "gap-ms", 2000));
+  const std::optional<cli::IntFlags> flags = cli::parse_int_flags(
+      argc, argv, {{"k", 8}, {"seconds", 120}, {"gap-ms", 2000}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const auto horizon = static_cast<double>(flags->get("seconds"));
+  const auto mean_gap_ms = static_cast<double>(flags->get("gap-ms"));
 
   bench::banner("E11 / §4.1 — operational control-plane run",
                 "k=" + std::to_string(k) + " fabric, n=2; " +

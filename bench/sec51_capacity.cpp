@@ -13,12 +13,14 @@
 // cores while staying bit-identical to --threads=1 / SBK_THREADS=1.
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "control/controller.hpp"
 #include "cost/cost_model.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sweep/sweep.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -92,10 +94,11 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto years =
-      static_cast<double>(bench::arg_int(argc, argv, "years", 25));
-  const auto threads =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "threads", 0));
+  const std::optional<cli::IntFlags> flags =
+      cli::parse_int_flags(argc, argv, {{"years", 25}, {"threads", 0}});
+  if (!flags.has_value()) return 2;
+  const auto years = static_cast<double>(flags->get("years"));
+  const auto threads = static_cast<std::size_t>(flags->get("threads"));
   bench::banner("E7 / §5.1 — capacity to handle failures",
                 "Backup ratios; Monte-Carlo group-overflow probability "
                 "(99.99% availability, 5-minute repairs); kn link capacity.");

@@ -6,20 +6,24 @@
 //      against the keep-alive detector and measure injected-to-recovered
 //      time through the actual controller.
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "control/controller.hpp"
 #include "control/failure_detector.hpp"
 #include "control/recovery_latency.hpp"
 #include "sharebackup/fabric.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 using namespace sbk;
 
 int main(int argc, char** argv) {
-  const auto samples =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "samples", 200));
+  const std::optional<cli::IntFlags> flags =
+      cli::parse_int_flags(argc, argv, {{"samples", 200}});
+  if (!flags.has_value()) return 2;
+  const auto samples = static_cast<std::size_t>(flags->get("samples"));
   bench::banner("E8 / §5.3 — recovery latency",
                 "Component model + DES measurement (1 ms probes, 3-miss "
                 "detection, sub-ms control channels).");

@@ -8,6 +8,7 @@
 //                       path at a switch NOT adjacent to the failure?
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -20,6 +21,7 @@
 #include "sharebackup/fabric.hpp"
 #include "sim/max_min.hpp"
 #include "topo/one_to_one.hpp"
+#include "util/cli.hpp"
 
 using namespace sbk;
 
@@ -115,7 +117,10 @@ void print_row(const char* arch, const Characteristics& ch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
+  const std::optional<cli::IntFlags> flags =
+      cli::parse_int_flags(argc, argv, {{"k", 8}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
   bench::banner("E6 / Table 3 — performance characteristics, measured",
                 "Single aggregation-switch failure on a k=" +
                     std::to_string(k) +

@@ -10,6 +10,7 @@
 //   $ ./build/examples/coflow_study [--coflows=120] [--k=8]
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "control/controller.hpp"
@@ -17,22 +18,13 @@
 #include "routing/global_reroute.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sim/fluid_sim.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/coflow_gen.hpp"
 
 using namespace sbk;
 
 namespace {
-
-long long parse_arg(int argc, char** argv, const std::string& key,
-                    long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
-  }
-  return fallback;
-}
 
 topo::FatTreeParams rack_tree(int k, topo::Wiring wiring) {
   topo::FatTreeParams p{.k = k, .wiring = wiring};
@@ -83,9 +75,11 @@ void report(const char* label, const StudyResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(parse_arg(argc, argv, "k", 8));
-  const auto coflows =
-      static_cast<std::size_t>(parse_arg(argc, argv, "coflows", 120));
+  const std::optional<cli::IntFlags> flags =
+      cli::parse_int_flags(argc, argv, {{"k", 8}, {"coflows", 120}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const auto coflows = static_cast<std::size_t>(flags->get("coflows"));
   const Seconds fail_at = 30.0;
   const Seconds repair_at = fail_at + 300.0;  // 5-minute outage
 

@@ -5,23 +5,14 @@
 //
 //   $ ./build/examples/cost_explorer --k=48 --n=2 --ports=32
 #include <cstdio>
-#include <string>
+#include <optional>
 
 #include "cost/cost_model.hpp"
+#include "util/cli.hpp"
 
 using namespace sbk::cost;
 
 namespace {
-long long parse_arg(int argc, char** argv, const std::string& key,
-                    long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
-  }
-  return fallback;
-}
-
 void print_breakdown(const char* name, const CostBreakdown& c) {
   std::printf("  %-22s circuit ports $%12.0f | packet ports $%12.0f | "
               "links $%12.0f | total $%13.0f\n",
@@ -30,9 +21,12 @@ void print_breakdown(const char* name, const CostBreakdown& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(parse_arg(argc, argv, "k", 48));
-  const int n = static_cast<int>(parse_arg(argc, argv, "n", 1));
-  const int ports = static_cast<int>(parse_arg(argc, argv, "ports", 32));
+  const std::optional<sbk::cli::IntFlags> flags = sbk::cli::parse_int_flags(
+      argc, argv, {{"k", 48}, {"n", 1}, {"ports", 32}});
+  if (!flags.has_value()) return 2;
+  const int k = static_cast<int>(flags->get("k"));
+  const int n = static_cast<int>(flags->get("n"));
+  const int ports = static_cast<int>(flags->get("ports"));
 
   std::printf("ShareBackup cost explorer: k=%d, n=%d  (%d hosts, backup "
               "ratio %.2f%%)\n\n",

@@ -13,6 +13,8 @@
 //      (getrusage) and wall time are measured and, when --max-rss-mb /
 //      --max-seconds are given, gated.
 //
+// Both phases require the storm to re-solve: more allocation rounds than
+// storm actions, i.e. every drain and restore re-rates live flows.
 // A JSON summary goes to stdout (and to --json=FILE when given); the
 // exit code is 0 only when the A/B phase matched and every gate held,
 // so check.sh --scale-smoke can fail CI on a memory or time regression.
@@ -46,13 +48,19 @@ int usage(const std::string& error) {
   return 2;
 }
 
+struct StormRun {
+  std::vector<sbk::sim::FlowResult> results;
+  std::size_t allocation_rounds = 0;
+};
+
 /// Pod-local hotspot storm scenario: `per_pod` flows out of each storm
 /// pod's first host, plus one capacity drain/restore pair per storm pod
-/// on that host's uplink. Returns the simulated FlowResults.
-std::vector<sbk::sim::FlowResult> run_storm(sbk::topo::FatTree& ft,
-                                            sbk::routing::EcmpRouter& router,
-                                            int storm_pods, int per_pod,
-                                            bool incremental) {
+/// on that host's uplink. Pod p drains at t = 1 + p and restores at
+/// 1.5 + p; its flows start at 0.5 + p and need 1 to 2 seconds of their
+/// fair share, so every one of them is live across both actions, and
+/// their sizes differ, so they finish at different events.
+StormRun run_storm(sbk::topo::FatTree& ft, sbk::routing::EcmpRouter& router,
+                   int storm_pods, int per_pod, bool incremental) {
   namespace sim = sbk::sim;
   namespace net = sbk::net;
   const int hosts_per_pod = ft.host_count() / ft.pods();
@@ -67,8 +75,9 @@ std::vector<sbk::sim::FlowResult> run_storm(sbk::topo::FatTree& ft,
       fs.id = id++;
       fs.src = src;
       fs.dst = ft.host(p * hosts_per_pod + 1 + f % (hosts_per_pod - 1));
-      fs.bytes = 1.0;
-      fs.start = 0.0;
+      fs.bytes =
+          cfg.unit_bytes_per_second * (per_pod + f) / (per_pod * per_pod);
+      fs.start = 0.5 + p;
       fs.coflow = static_cast<sim::CoflowId>(p);
       simulator.add_flow(fs);
     }
@@ -82,17 +91,27 @@ std::vector<sbk::sim::FlowResult> run_storm(sbk::topo::FatTree& ft,
       n.set_link_capacity(up, cap);
     });
   }
-  return simulator.run();
+  StormRun run;
+  run.results = simulator.run();
+  run.allocation_rounds = simulator.allocation_rounds();
+  return run;
 }
 
 /// Phase 1: bit-identical FlowResults with the allocator off and on.
 bool ab_identity_holds(std::string& detail) {
   sbk::topo::FatTree ft(sbk::topo::FatTreeParams{.k = 8});
   sbk::routing::EcmpRouter router(ft);
-  const auto full = run_storm(ft, router, /*storm_pods=*/8, /*per_pod=*/12,
-                              /*incremental=*/false);
-  const auto incr = run_storm(ft, router, /*storm_pods=*/8, /*per_pod=*/12,
-                              /*incremental=*/true);
+  constexpr int kStormPods = 8;
+  const StormRun full_run = run_storm(ft, router, kStormPods, /*per_pod=*/12,
+                                      /*incremental=*/false);
+  const StormRun incr_run = run_storm(ft, router, kStormPods, /*per_pod=*/12,
+                                      /*incremental=*/true);
+  if (incr_run.allocation_rounds <= 2 * kStormPods) {
+    detail = "the storm re-solved nothing";
+    return false;
+  }
+  const auto& full = full_run.results;
+  const auto& incr = incr_run.results;
   if (full.size() != incr.size()) {
     detail = "result count mismatch";
     return false;
@@ -174,9 +193,10 @@ int main(int argc, char** argv) {
   sbk::topo::FatTree ft(
       sbk::topo::FatTreeParams{.k = static_cast<int>(k)});
   sbk::routing::EcmpRouter router(ft);
-  const auto results =
+  const StormRun storm =
       run_storm(ft, router, static_cast<int>(*storm_pods),
                 static_cast<int>(*per_pod), /*incremental=*/true);
+  const auto& results = storm.results;
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -189,7 +209,9 @@ int main(int argc, char** argv) {
 
   const bool rss_ok = *max_rss_mb <= 0.0 || rss_mb <= *max_rss_mb;
   const bool time_ok = *max_seconds <= 0.0 || wall_seconds <= *max_seconds;
-  const bool pass = ab_ok && rss_ok && time_ok &&
+  const bool resolved =
+      storm.allocation_rounds > static_cast<std::size_t>(2 * *storm_pods);
+  const bool pass = ab_ok && rss_ok && time_ok && resolved &&
                     finished == results.size() && !results.empty();
 
   std::ostringstream json;
@@ -197,6 +219,7 @@ int main(int argc, char** argv) {
        << ",\"links\":" << ft.network().link_count()
        << ",\"flows\":" << results.size() << ",\"finished\":" << finished
        << ",\"storm_events\":" << 2 * *storm_pods
+       << ",\"allocation_rounds\":" << storm.allocation_rounds
        << ",\"wall_seconds\":" << wall_seconds
        << ",\"peak_rss_mb\":" << rss_mb
        << ",\"ab_identical\":" << (ab_ok ? "true" : "false")
@@ -209,6 +232,12 @@ int main(int argc, char** argv) {
     out << json.str() << "\n";
   }
 
+  if (!resolved) {
+    std::fprintf(stderr,
+                 "scale_smoke: %zu allocation rounds for %lld storm actions: "
+                 "the storm re-solved nothing\n",
+                 storm.allocation_rounds, 2 * *storm_pods);
+  }
   if (!rss_ok) {
     std::fprintf(stderr,
                  "scale_smoke: peak RSS %.1f MB exceeds budget %.1f MB\n",

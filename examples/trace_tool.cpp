@@ -7,12 +7,14 @@
 //   $ ./build/examples/trace_tool run  /tmp/trace.txt --k=8
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "routing/ecmp.hpp"
 #include "sim/fluid_sim.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/coflow_gen.hpp"
 #include "workload/trace_io.hpp"
@@ -21,22 +23,12 @@ using namespace sbk;
 
 namespace {
 
-long long parse_arg(int argc, char** argv, const std::string& key,
-                    long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
-  }
-  return fallback;
-}
-
-int cmd_gen(const std::string& path, int argc, char** argv) {
+int cmd_gen(const std::string& path, const cli::IntFlags& flags) {
   workload::CoflowWorkloadParams wp;
-  wp.racks = static_cast<int>(parse_arg(argc, argv, "racks", 32));
-  wp.coflows = static_cast<std::size_t>(parse_arg(argc, argv, "coflows", 50));
-  wp.duration = static_cast<double>(parse_arg(argc, argv, "duration", 60));
-  Rng rng(static_cast<std::uint64_t>(parse_arg(argc, argv, "seed", 1)));
+  wp.racks = static_cast<int>(flags.get("racks"));
+  wp.coflows = static_cast<std::size_t>(flags.get("coflows"));
+  wp.duration = static_cast<double>(flags.get("duration"));
+  Rng rng(static_cast<std::uint64_t>(flags.get("seed")));
   auto trace = workload::generate_coflows(wp, rng);
   workload::save_trace(path, wp.racks, trace);
   std::printf("wrote %zu coflows over %d racks to %s\n", trace.size(),
@@ -66,9 +58,9 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-int cmd_run(const std::string& path, int argc, char** argv) {
+int cmd_run(const std::string& path, const cli::IntFlags& flags) {
   workload::ParsedTrace parsed = workload::load_trace(path);
-  const int k = static_cast<int>(parse_arg(argc, argv, "k", 8));
+  const int k = static_cast<int>(flags.get("k"));
   topo::FatTreeParams ftp{.k = k};
   ftp.hosts_per_edge = 1;
   ftp.host_link_capacity = 10.0 * (k / 2);
@@ -109,23 +101,29 @@ int cmd_run(const std::string& path, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
+  const std::string cmd = argc >= 3 ? argv[1] : "";
+  std::vector<cli::IntFlag> declared;
+  if (cmd == "gen") {
+    declared = {{"racks", 32}, {"coflows", 50}, {"duration", 60}, {"seed", 1}};
+  } else if (cmd == "run") {
+    declared = {{"k", 8}};
+  } else if (cmd != "info") {
     std::fprintf(stderr,
                  "usage: %s gen|info|run <trace-file> [--racks= --coflows= "
                  "--duration= --seed= --k=]\n",
                  argv[0]);
     return 2;
   }
-  std::string cmd = argv[1];
-  std::string path = argv[2];
+  const std::string path = argv[2];
+  const std::optional<cli::IntFlags> flags = cli::parse_int_flags(
+      argc, argv, declared, /*max_positional=*/2, cmd + " <trace-file>");
+  if (!flags.has_value()) return 2;
   try {
-    if (cmd == "gen") return cmd_gen(path, argc, argv);
-    if (cmd == "info") return cmd_info(path);
-    if (cmd == "run") return cmd_run(path, argc, argv);
+    if (cmd == "gen") return cmd_gen(path, *flags);
+    if (cmd == "run") return cmd_run(path, *flags);
+    return cmd_info(path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
 }

@@ -15,6 +15,7 @@
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection, control-plane,
 #                  simulator, detector, routing, baselines, fabric,
+#                  leaf-spine, circuit-switch, two-level-table, table-walk,
 #                  service, incremental max-min and property suites under
 #                  it — the chaos paths exercise the allocation-heavy
 #                  recovery machinery that ASan watches best, the event
@@ -23,10 +24,12 @@
 #                  keeps indexed finish-time heaps and a tombstoned
 #                  active set (driven under both max-min modes by the
 #                  incremental max-min and fluid-conservation suites),
-#                  the routers build structural paths by index, the
-#                  fabric grounds link faults and lists the switch
-#                  devices the repair crew walks, and the service
-#                  dispatch path drives both.
+#                  the routers build structural paths by index, both
+#                  fabrics run the shared device pool's fail-over and
+#                  pool return under the §4.3 table walker, the fabric
+#                  grounds link faults and lists the switch devices the
+#                  repair crew walks, and the service dispatch path
+#                  drives both.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -427,7 +430,9 @@ if [ "$ASAN" = 1 ]; then
   configure "$BUILD" -DSBK_SANITIZE=address,undefined
   cmake --build "$BUILD" --target faultinject_test control_plane_test \
     sim_test control_test routing_test baselines_test fabric_test \
-    service_test incremental_max_min_test property_test
+    leaf_spine_test circuit_switch_test two_level_test \
+    table_forwarding_test service_test incremental_max_min_test \
+    property_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/sim_test
@@ -435,12 +440,18 @@ if [ "$ASAN" = 1 ]; then
   "$BUILD"/tests/routing_test
   "$BUILD"/tests/baselines_test
   "$BUILD"/tests/fabric_test
+  "$BUILD"/tests/leaf_spine_test
+  "$BUILD"/tests/circuit_switch_test
+  "$BUILD"/tests/two_level_test
+  "$BUILD"/tests/table_forwarding_test
   "$BUILD"/tests/service_test
   "$BUILD"/tests/incremental_max_min_test
   "$BUILD"/tests/property_test
   echo "asan: faultinject_test + control_plane_test + sim_test +" \
     "control_test + routing_test + baselines_test + fabric_test +" \
-    "service_test + incremental_max_min_test + property_test clean"
+    "leaf_spine_test + circuit_switch_test + two_level_test +" \
+    "table_forwarding_test + service_test + incremental_max_min_test +" \
+    "property_test clean"
   exit 0
 fi
 

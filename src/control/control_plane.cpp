@@ -8,8 +8,7 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
                            sim::EventQueue& queue, ControlPlaneConfig config)
     : fabric_(&fabric), queue_(&queue), config_(config),
       controller_(fabric, config.controller),
-      detector_(queue, fabric.network(), config.detector),
-      tables_(fabric) {
+      detector_(queue, fabric.network(), config.detector) {
   if (config_.cluster_members > 0) {
     ClusterConfig cc = config_.cluster;
     cc.members = config_.cluster_members;
@@ -20,8 +19,6 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
       replay_buffered(at);
     });
   }
-  controller_.attach_table_manager(&tables_);
-
   controller_.set_retry_listener(
       [this](const RecoveryOutcome& out, std::optional<net::NodeId> node,
              std::optional<net::LinkId> link) {

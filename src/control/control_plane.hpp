@@ -1,7 +1,7 @@
 // The assembled ShareBackup control plane: failure detector + controller
-// + routing-table mirror + (optional) controller cluster, wired over one
-// discrete-event queue. This is the component a deployment would run;
-// the pieces remain independently usable and tested.
+// + (optional) controller cluster, wired over one discrete-event queue.
+// This is the component a deployment would run; the pieces remain
+// independently usable and tested.
 //
 // Event flow (all on the shared EventQueue):
 //   keep-alive miss ──> node-failure report ──┐
@@ -28,7 +28,6 @@
 #include "control/controller.hpp"
 #include "control/controller_cluster.hpp"
 #include "control/failure_detector.hpp"
-#include "control/table_manager.hpp"
 #include "sim/event_queue.hpp"
 
 namespace sbk::control {
@@ -63,11 +62,6 @@ class ControlPlane {
   [[nodiscard]] ControllerCluster* cluster() noexcept {
     return cluster_ ? &*cluster_ : nullptr;
   }
-  /// The §4.3 routing-table mirror every failover is reflected in.
-  [[nodiscard]] const TableManager& tables() const noexcept {
-    return tables_;
-  }
-
   /// Reports lost on the control channel by the fault hook.
   [[nodiscard]] std::size_t reports_lost() const noexcept {
     return reports_lost_;
@@ -143,7 +137,6 @@ class ControlPlane {
   Controller controller_;
   FailureDetector detector_;
   std::optional<ControllerCluster> cluster_;
-  TableManager tables_;
   RecoveryObserver observer_;
   ReportFaultHook report_fault_;
   obs::FlightRecorder* recorder_ = nullptr;

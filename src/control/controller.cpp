@@ -59,12 +59,10 @@ std::size_t Controller::trace_recovery(const std::string& element,
   Seconds reconfigured =
       commanded + sharebackup::reconfiguration_latency(fabric_->technology());
   tracer_->add_span(inc, "reconfiguration", commanded, reconfigured);
-  if (tables_ != nullptr) {
-    // Backup tables are preloaded (§4.3); activation is a profile change
-    // that completes with the circuit reset — a point event on the
-    // timeline.
-    tracer_->add_span(inc, "table_activation", reconfigured, reconfigured);
-  }
+  // Backup tables are preloaded (§4.3); activation is a profile change
+  // that completes with the circuit reset — a point event on the
+  // timeline.
+  tracer_->add_span(inc, "table_activation", reconfigured, reconfigured);
   tracer_->close_incident(inc, reconfigured);
   return inc;
 }
@@ -171,7 +169,6 @@ void Controller::count_failover(const Fabric::FailoverReport& report,
                                 RecoveryOutcome& outcome) {
   ++stats_.failovers;
   if (m_failovers_) m_failovers_->add();
-  if (tables_ != nullptr) tables_->on_fail_over(report);
   outcome.failovers.push_back(report);
 }
 
@@ -206,10 +203,6 @@ void Controller::degrade(RecoveryOutcome& outcome, const std::string& element,
     tracer_->add_span(inc, "degraded_reroute", now_,
                       now_ + outcome.degraded_latency);
   }
-}
-
-void Controller::mirror_return(DeviceUid dev) {
-  if (tables_ != nullptr) tables_->on_return_to_pool(dev);
 }
 
 void Controller::audit(std::string event, std::string detail) {
@@ -544,7 +537,6 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     // Failure persists: the switch was not the problem. Redress it and
     // flag the host for troubleshooting (§4.2).
     fabric_->return_to_pool(old_dev);
-    mirror_return(old_dev);
     ++stats_.switches_exonerated;
     audit("host-flagged",
           fabric_->network().node(host).name + " (switch redressed)");
@@ -583,7 +575,6 @@ std::size_t Controller::run_pending_diagnosis(Seconds queued_before) {
       if (v.device == sharebackup::kNoDeviceUid) return;
       if (v.healthy) {
         fabric_->return_to_pool(v.device);
-        mirror_return(v.device);
         ++stats_.switches_exonerated;
         audit("diagnosis", fabric_->device(v.device).name + " exonerated");
         if (tracer_ != nullptr &&
@@ -629,7 +620,6 @@ void Controller::on_device_repaired(DeviceUid dev) {
   SBK_EXPECTS(fabric_->device_state(dev) == DeviceState::kOut);
   fabric_->heal_device(dev);
   fabric_->return_to_pool(dev);
-  mirror_return(dev);
   audit("repair", fabric_->device(dev).name + " healed, back in pool");
   if (auto it = incident_of_faulty_.find(dev);
       it != incident_of_faulty_.end()) {

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "control/diagnosis.hpp"
-#include "control/table_manager.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recovery_tracer.hpp"
@@ -263,19 +262,11 @@ class Controller {
     fabric_->set_trace_time(now);
   }
 
-  /// Attaches the §4.3 routing-table mirror: every failover / pool
-  /// return the controller performs is reflected in the manager's
-  /// ImpersonationStore, keeping preloaded-table assignment in sync with
-  /// the physical devices. Optional; pass nullptr to detach. The manager
-  /// must outlive the controller.
-  void attach_table_manager(TableManager* tables) noexcept {
-    tables_ = tables;
-  }
-
   /// Recovery-timeline spans per incident: "notification" (report
   /// arrival), "decision", "command", "reconfiguration",
-  /// "table_activation" (when a table manager is attached), with
-  /// trailing "diagnosis" / "restore" background spans. Incidents are
+  /// "table_activation" (the zero-length instant the circuit reset
+  /// activates the group's preloaded table, §4.3), with trailing
+  /// "diagnosis" / "restore" background spans. Incidents are
   /// correlated with the detector's through the canonical obs element
   /// names. Pass nullptr to detach; must outlive the controller.
   void attach_tracer(obs::RecoveryTracer* tracer) noexcept {
@@ -322,9 +313,9 @@ class Controller {
   [[nodiscard]] CommandOutcome execute_failover(
       sharebackup::SwitchPosition pos);
   /// Folds a CommandOutcome's retries and DOA-cascade failovers into the
-  /// stats, metrics, table mirror and the RecoveryOutcome.
+  /// stats, metrics and the RecoveryOutcome.
   void account_command(const CommandOutcome& co, RecoveryOutcome& outcome);
-  /// One executed failover: stats, metric, table mirror, outcome.
+  /// One executed failover: stats, metric, outcome.
   void count_failover(const sharebackup::Fabric::FailoverReport& report,
                       RecoveryOutcome& outcome);
   /// One recovery that installed no backup: an exhausted pool, or
@@ -348,7 +339,6 @@ class Controller {
   std::size_t trace_recovery(const std::string& element,
                              Seconds command_penalty = 0.0);
 
-  void mirror_return(sharebackup::DeviceUid dev);
   void park_node(sharebackup::SwitchPosition pos);
   void park_link(net::LinkId link);
   void audit(std::string event, std::string detail);
@@ -358,7 +348,6 @@ class Controller {
   sharebackup::Fabric* fabric_;
   ControllerConfig config_;
   DiagnosisEngine engine_;
-  TableManager* tables_ = nullptr;
   std::deque<PendingDiagnosis> diagnosis_queue_;
   std::vector<sharebackup::SwitchPosition> pending_nodes_;
   std::vector<net::LinkId> pending_links_;

@@ -1,15 +1,19 @@
-// Network-bound two-level forwarding: walks packets hop by hop over the
-// *physical* Network, at each switch consulting the two-level table of
-// the failure group that owns its position and mapping the table's
-// logical egress port onto the concrete adjacent link.
+// Network-bound two-level forwarding, the §4.3 table walker: walks
+// packets hop by hop over the *physical* Network, at each switch
+// consulting the two-level table of the failure group that owns its
+// position and mapping the table's logical egress port onto the concrete
+// adjacent link.
 //
-// This closes the loop that the position-level ForwardingSim leaves
-// open: it proves that the §4.3 tables — including the VLAN-disambiguated
-// combined edge tables — steer packets along real fat-tree links, that
-// the walked paths are exactly members of the structural ECMP candidate
-// set, and that a ShareBackup failover (which swaps devices under
-// positions without touching the Network) leaves every walked path
-// byte-for-byte identical.
+// Every member of a failure group preloads the group's table — the
+// combined table for a pod's edges, the pod's agg table, the common core
+// table — so one table per group is all the routing state there is, and
+// the device serving a position never changes the lookup. The tests use
+// this to show that the tables, VLAN-disambiguated combined edge tables
+// included, steer packets along real fat-tree links, that the walked
+// paths are exactly members of the structural ECMP candidate set, and
+// that a ShareBackup failover (which swaps devices under positions
+// without touching the Network) leaves every walked path byte-for-byte
+// identical.
 #pragma once
 
 #include "net/path.hpp"

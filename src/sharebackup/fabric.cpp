@@ -22,71 +22,40 @@ Fabric::Fabric(const FabricParams& params)
   build_devices();
   build_circuit_switches();
   wire_defaults();
+  iface_unhealthy_.resize(pool_.device_count());
+  for (DeviceUid uid = 0; uid < pool_.device_count(); ++uid) {
+    iface_unhealthy_[uid].assign(pool_.ports(uid).size(), 0);
+  }
   for (net::NodeId sw : ft_.all_switches()) {
     switch_devices_.push_back(device_at(*position_of_node(sw)));
   }
-  for (const std::vector<Group>* groups :
-       {&edge_groups_, &agg_groups_, &core_groups_}) {
-    for (const Group& g : *groups) {
-      switch_devices_.insert(switch_devices_.end(), g.spare.begin(),
-                             g.spare.end());
-    }
+  for (std::size_t g = 0; g < pool_.group_count(); ++g) {
+    const std::vector<DeviceUid>& spare = pool_.group(g).spare;
+    switch_devices_.insert(switch_devices_.end(), spare.begin(), spare.end());
   }
   check_invariants();
-}
-
-DeviceUid Fabric::new_device(bool is_host, Layer layer, int grp,
-                             std::string name) {
-  DeviceUid uid = static_cast<DeviceUid>(devices_.size());
-  devices_.push_back(PhysicalDevice{uid, is_host, layer, grp, std::move(name)});
-  device_state_.push_back(DeviceState::kInService);
-  device_ports_.emplace_back();
-  iface_unhealthy_.emplace_back();
-  return uid;
 }
 
 void Fabric::build_devices() {
   const int k = ft_.k();
   const int half = ft_.half_k();
-
-  auto build_group = [&](Layer layer, int id, const char* tag) {
-    const int n = params_.backups_for(layer);
-    Group g;
-    g.layer = layer;
-    g.id = id;
-    for (int s = 0; s < half; ++s) {
-      DeviceUid uid = new_device(false, layer, id,
-                                 std::string("SW-") + tag + '-' +
-                                     std::to_string(id) + '-' +
-                                     std::to_string(s));
-      g.assigned.push_back(uid);
-    }
-    for (int b = 0; b < n; ++b) {
-      DeviceUid uid = new_device(false, layer, id,
-                                 std::string("BS-") + tag + '-' +
-                                     std::to_string(id) + '-' +
-                                     std::to_string(b));
-      device_state_[uid] = DeviceState::kSpare;
-      g.spare.push_back(uid);
-    }
-    return g;
-  };
-
   for (int pod = 0; pod < k; ++pod) {
-    edge_groups_.push_back(build_group(Layer::kEdge, pod, "edge"));
+    pool_.add_group(Layer::kEdge, pod, half, params_.backups_for(Layer::kEdge),
+                    "edge");
   }
   for (int pod = 0; pod < k; ++pod) {
-    agg_groups_.push_back(build_group(Layer::kAgg, pod, "agg"));
+    pool_.add_group(Layer::kAgg, pod, half, params_.backups_for(Layer::kAgg),
+                    "agg");
   }
   for (int u = 0; u < half; ++u) {
-    core_groups_.push_back(build_group(Layer::kCore, u, "core"));
+    pool_.add_group(Layer::kCore, u, half, params_.backups_for(Layer::kCore),
+                    "core");
   }
 
   // Hosts as (non-replaceable) devices so layer-1 cables have endpoints.
   host_device_.reserve(static_cast<std::size_t>(ft_.host_count()));
   for (int h = 0; h < ft_.host_count(); ++h) {
-    host_device_.push_back(
-        new_device(true, Layer::kEdge, -1, "HOST-" + std::to_string(h)));
+    host_device_.push_back(pool_.add_host("HOST-" + std::to_string(h)));
   }
 }
 
@@ -113,11 +82,6 @@ std::size_t Fabric::cs_index(int cs_layer, int pod, int m) const {
   }
 }
 
-void Fabric::register_port(DeviceUid dev, std::size_t cs, int port) {
-  device_ports_[dev].push_back(DevicePort{cs, port});
-  iface_unhealthy_[dev].push_back(0);
-}
-
 void Fabric::build_circuit_switches() {
   const int k = ft_.k();
   const int half = ft_.half_k();
@@ -132,48 +96,41 @@ void Fabric::build_circuit_switches() {
   //   agg:   0..half-1 down, half..k-1 up;
   //   core:  0..k-1, one per pod;
   //   host:  0 (single NIC).
-  switches_.reserve(static_cast<std::size_t>(k) * (hpe + 2 * half));
   for (int pod = 0; pod < k; ++pod) {
     for (int m = 0; m < hpe; ++m) {
       // South side: hosts (no backups exist, ports kept for symmetry).
-      switches_.emplace_back(cs_name(1, pod, m), half, n_edge, n_edge);
+      pool_.add_circuit_switch(cs_name(1, pod, m), half, n_edge, n_edge);
     }
   }
   for (int pod = 0; pod < k; ++pod) {
     for (int m = 0; m < half; ++m) {
-      switches_.emplace_back(cs_name(2, pod, m), half, n_edge, n_agg);
+      pool_.add_circuit_switch(cs_name(2, pod, m), half, n_edge, n_agg);
     }
   }
   for (int pod = 0; pod < k; ++pod) {
     for (int m = 0; m < half; ++m) {
-      switches_.emplace_back(cs_name(3, pod, m), half, n_agg, n_core);
+      pool_.add_circuit_switch(cs_name(3, pod, m), half, n_agg, n_core);
     }
   }
 
-  auto attach = [&](std::size_t cs, PortClass cls, int slot, DeviceUid dev,
-                    int iface) {
-    CircuitSwitch& sw = switches_[cs];
-    int port = sw.port(cls, slot);
-    sw.attach_device(port, dev, iface);
-    register_port(dev, cs, port);
+  auto at = [](const std::vector<DeviceUid>& devices, int i) {
+    return devices[static_cast<std::size_t>(i)];
   };
-
   for (int pod = 0; pod < k; ++pod) {
-    Group& eg = edge_groups_[static_cast<std::size_t>(pod)];
-    Group& ag = agg_groups_[static_cast<std::size_t>(pod)];
+    const DevicePool::Group& eg = pool_.group(group_index(Layer::kEdge, pod));
+    const DevicePool::Group& ag = pool_.group(group_index(Layer::kAgg, pod));
 
     // Layer 1: hosts (south) <-> edge switches (north).
     for (int m = 0; m < hpe; ++m) {
       std::size_t cs = cs_index(1, pod, m);
-      eg.circuit_switches.push_back(cs);
       for (int j = 0; j < half; ++j) {
         int host_global = (pod * half + j) * hpe + m;
-        attach(cs, PortClass::kSouthRegular, j,
-               host_device_[static_cast<std::size_t>(host_global)], 0);
-        attach(cs, PortClass::kNorthRegular, j, eg.assigned[static_cast<std::size_t>(j)], m);
+        pool_.attach(cs, PortClass::kSouthRegular, j,
+                     at(host_device_, host_global), 0);
+        pool_.attach(cs, PortClass::kNorthRegular, j, at(eg.assigned, j), m);
       }
       for (int b = 0; b < n_edge; ++b) {
-        attach(cs, PortClass::kNorthBackup, b, eg.spare[static_cast<std::size_t>(b)], m);
+        pool_.attach(cs, PortClass::kNorthBackup, b, at(eg.spare, b), m);
       }
       // South backup ports stay uncabled: there are no backup hosts.
     }
@@ -181,21 +138,18 @@ void Fabric::build_circuit_switches() {
     // Layer 2: edges (south) <-> aggs (north).
     for (int m = 0; m < half; ++m) {
       std::size_t cs = cs_index(2, pod, m);
-      eg.circuit_switches.push_back(cs);
-      ag.circuit_switches.push_back(cs);
       for (int e = 0; e < half; ++e) {
-        attach(cs, PortClass::kSouthRegular, e, eg.assigned[static_cast<std::size_t>(e)],
-               hpe + m);
+        pool_.attach(cs, PortClass::kSouthRegular, e, at(eg.assigned, e),
+                     hpe + m);
       }
       for (int b = 0; b < n_edge; ++b) {
-        attach(cs, PortClass::kSouthBackup, b, eg.spare[static_cast<std::size_t>(b)],
-               hpe + m);
+        pool_.attach(cs, PortClass::kSouthBackup, b, at(eg.spare, b), hpe + m);
       }
       for (int a = 0; a < half; ++a) {
-        attach(cs, PortClass::kNorthRegular, a, ag.assigned[static_cast<std::size_t>(a)], m);
+        pool_.attach(cs, PortClass::kNorthRegular, a, at(ag.assigned, a), m);
       }
       for (int b = 0; b < n_agg; ++b) {
-        attach(cs, PortClass::kNorthBackup, b, ag.spare[static_cast<std::size_t>(b)], m);
+        pool_.attach(cs, PortClass::kNorthBackup, b, at(ag.spare, b), m);
       }
     }
 
@@ -203,44 +157,29 @@ void Fabric::build_circuit_switches() {
     // core failure group m (cores ≡ m mod k/2).
     for (int m = 0; m < half; ++m) {
       std::size_t cs = cs_index(3, pod, m);
-      ag.circuit_switches.push_back(cs);
-      Group& cg = core_groups_[static_cast<std::size_t>(m)];
-      cg.circuit_switches.push_back(cs);
+      const DevicePool::Group& cg = pool_.group(group_index(Layer::kCore, m));
       for (int a = 0; a < half; ++a) {
-        attach(cs, PortClass::kSouthRegular, a, ag.assigned[static_cast<std::size_t>(a)],
-               half + m);
+        pool_.attach(cs, PortClass::kSouthRegular, a, at(ag.assigned, a),
+                     half + m);
       }
       for (int b = 0; b < n_agg; ++b) {
-        attach(cs, PortClass::kSouthBackup, b, ag.spare[static_cast<std::size_t>(b)],
-               half + m);
+        pool_.attach(cs, PortClass::kSouthBackup, b, at(ag.spare, b),
+                     half + m);
       }
       for (int r = 0; r < half; ++r) {
-        attach(cs, PortClass::kNorthRegular, r, cg.assigned[static_cast<std::size_t>(r)],
-               pod);
+        pool_.attach(cs, PortClass::kNorthRegular, r, at(cg.assigned, r), pod);
       }
       for (int b = 0; b < n_core; ++b) {
-        attach(cs, PortClass::kNorthBackup, b, cg.spare[static_cast<std::size_t>(b)],
-               pod);
+        pool_.attach(cs, PortClass::kNorthBackup, b, at(cg.spare, b), pod);
       }
     }
   }
 
   // Side-port rings: chain the circuit switches of each (layer, pod).
-  auto chain = [&](int cs_layer, int pod, int count) {
-    if (count < 2) return;  // a ring needs at least two members
-    for (int m = 0; m < count; ++m) {
-      std::size_t a = cs_index(cs_layer, pod, m);
-      std::size_t b = cs_index(cs_layer, pod, (m + 1) % count);
-      int right = switches_[a].port(PortClass::kSideRight);
-      int left = switches_[b].port(PortClass::kSideLeft);
-      switches_[a].attach_side(right, static_cast<int>(b), left);
-      switches_[b].attach_side(left, static_cast<int>(a), right);
-    }
-  };
   for (int pod = 0; pod < k; ++pod) {
-    chain(1, pod, hpe);
-    chain(2, pod, half);
-    chain(3, pod, half);
+    pool_.ring(cs_index(1, pod, 0), hpe);
+    pool_.ring(cs_index(2, pod, 0), half);
+    pool_.ring(cs_index(3, pod, 0), half);
   }
 }
 
@@ -251,14 +190,14 @@ void Fabric::wire_defaults() {
 
   for (int pod = 0; pod < k; ++pod) {
     for (int m = 0; m < hpe; ++m) {
-      CircuitSwitch& sw = switches_[cs_index(1, pod, m)];
+      CircuitSwitch& sw = pool_.circuit_switch(cs_index(1, pod, m));
       for (int j = 0; j < half; ++j) {
         sw.connect(sw.port(PortClass::kSouthRegular, j),
                    sw.port(PortClass::kNorthRegular, j));
       }
     }
     for (int m = 0; m < half; ++m) {
-      CircuitSwitch& sw = switches_[cs_index(2, pod, m)];
+      CircuitSwitch& sw = pool_.circuit_switch(cs_index(2, pod, m));
       for (int e = 0; e < half; ++e) {
         // Rotation by m realizes the complete bipartite pod wiring.
         sw.connect(sw.port(PortClass::kSouthRegular, e),
@@ -266,7 +205,7 @@ void Fabric::wire_defaults() {
       }
     }
     for (int m = 0; m < half; ++m) {
-      CircuitSwitch& sw = switches_[cs_index(3, pod, m)];
+      CircuitSwitch& sw = pool_.circuit_switch(cs_index(3, pod, m));
       for (int a = 0; a < half; ++a) {
         sw.connect(sw.port(PortClass::kSouthRegular, a),
                    sw.port(PortClass::kNorthRegular, a));
@@ -300,67 +239,44 @@ std::optional<SwitchPosition> Fabric::position_of_node(
   SBK_UNREACHABLE("bad node kind");
 }
 
-Fabric::Group& Fabric::group(Layer layer, int id) {
+std::size_t Fabric::group_index(Layer layer, int id) const {
+  SBK_EXPECTS(id >= 0 && id < topo::failure_group_count(k(), layer));
+  const std::size_t pods = static_cast<std::size_t>(k());
   switch (layer) {
-    case Layer::kEdge:
-      SBK_EXPECTS(id >= 0 &&
-                  static_cast<std::size_t>(id) < edge_groups_.size());
-      return edge_groups_[static_cast<std::size_t>(id)];
-    case Layer::kAgg:
-      SBK_EXPECTS(id >= 0 &&
-                  static_cast<std::size_t>(id) < agg_groups_.size());
-      return agg_groups_[static_cast<std::size_t>(id)];
-    case Layer::kCore:
-      SBK_EXPECTS(id >= 0 &&
-                  static_cast<std::size_t>(id) < core_groups_.size());
-      return core_groups_[static_cast<std::size_t>(id)];
+    case Layer::kEdge: return static_cast<std::size_t>(id);
+    case Layer::kAgg: return pods + static_cast<std::size_t>(id);
+    case Layer::kCore: return 2 * pods + static_cast<std::size_t>(id);
   }
   SBK_UNREACHABLE("bad layer");
 }
 
-const Fabric::Group& Fabric::group(Layer layer, int id) const {
-  return const_cast<Fabric*>(this)->group(layer, id);
-}
-
 DeviceUid Fabric::device_at(SwitchPosition pos) const {
-  const Group& g = group(pos.layer, topo::failure_group_of(k(), pos));
+  const DevicePool::Group& g =
+      pool_.group(group_index(pos.layer, topo::failure_group_of(k(), pos)));
   return g.assigned[static_cast<std::size_t>(topo::group_slot_of(k(), pos))];
 }
 
 const PhysicalDevice& Fabric::device(DeviceUid uid) const {
-  SBK_EXPECTS(uid < devices_.size());
-  return devices_[uid];
+  return pool_.device(uid);
 }
 
 DeviceState Fabric::device_state(DeviceUid uid) const {
-  SBK_EXPECTS(uid < device_state_.size());
-  return device_state_[uid];
+  return pool_.state(uid);
 }
 
 std::vector<DeviceUid> Fabric::spares(Layer layer, int grp) const {
-  return group(layer, grp).spare;
+  return pool_.group(group_index(layer, grp)).spare;
 }
 
 std::optional<SwitchPosition> Fabric::position_of_device(
     DeviceUid uid) const {
-  SBK_EXPECTS(uid < devices_.size());
-  const PhysicalDevice& d = devices_[uid];
-  if (d.is_host || device_state_[uid] != DeviceState::kInService) {
-    return std::nullopt;
+  std::optional<int> slot = pool_.slot_of(uid);
+  if (!slot.has_value()) return std::nullopt;
+  const PhysicalDevice& d = pool_.device(uid);
+  if (d.layer == Layer::kCore) {
+    return SwitchPosition{d.layer, -1, *slot * half_k() + d.group};
   }
-  const Group& g = group(d.layer, d.group);
-  for (std::size_t slot = 0; slot < g.assigned.size(); ++slot) {
-    if (g.assigned[slot] != uid) continue;
-    switch (d.layer) {
-      case Layer::kEdge:
-      case Layer::kAgg:
-        return SwitchPosition{d.layer, d.group, static_cast<int>(slot)};
-      case Layer::kCore:
-        return SwitchPosition{d.layer, -1,
-                              static_cast<int>(slot) * half_k() + d.group};
-    }
-  }
-  return std::nullopt;
+  return SwitchPosition{d.layer, d.group, *slot};
 }
 
 DeviceUid Fabric::device_of_host(net::NodeId host) const {
@@ -369,19 +285,16 @@ DeviceUid Fabric::device_of_host(net::NodeId host) const {
 }
 
 const CircuitSwitch& Fabric::circuit_switch(std::size_t idx) const {
-  SBK_EXPECTS(idx < switches_.size());
-  return switches_[idx];
+  return pool_.circuit_switch(idx);
 }
 
 CircuitSwitch& Fabric::circuit_switch(std::size_t idx) {
-  SBK_EXPECTS(idx < switches_.size());
-  return switches_[idx];
+  return pool_.circuit_switch(idx);
 }
 
 const std::vector<Fabric::DevicePort>& Fabric::ports_of_device(
     DeviceUid uid) const {
-  SBK_EXPECTS(uid < device_ports_.size());
-  return device_ports_[uid];
+  return pool_.ports(uid);
 }
 
 bool Fabric::interface_healthy(InterfaceRef iface) const {
@@ -389,8 +302,8 @@ bool Fabric::interface_healthy(InterfaceRef iface) const {
   // cs values (see the header note), even though the flat storage no
   // longer consumes the key for cabled ports.
   const std::uint64_t key = iface_key(iface);
-  if (iface.device < device_ports_.size()) {
-    const std::vector<DevicePort>& ports = device_ports_[iface.device];
+  if (iface.device < pool_.device_count()) {
+    const std::vector<DevicePort>& ports = pool_.ports(iface.device);
     for (std::size_t i = 0; i < ports.size(); ++i) {
       if (ports[i].cs == iface.cs) return !iface_unhealthy_[iface.device][i];
     }
@@ -400,9 +313,9 @@ bool Fabric::interface_healthy(InterfaceRef iface) const {
 }
 
 void Fabric::set_interface_health(InterfaceRef iface, bool healthy) {
-  SBK_EXPECTS(iface.device < devices_.size());
-  SBK_EXPECTS(iface.cs < switches_.size());
-  const std::vector<DevicePort>& ports = device_ports_[iface.device];
+  SBK_EXPECTS(iface.device < pool_.device_count());
+  SBK_EXPECTS(iface.cs < pool_.circuit_switch_count());
+  const std::vector<DevicePort>& ports = pool_.ports(iface.device);
   for (std::size_t i = 0; i < ports.size(); ++i) {
     if (ports[i].cs == iface.cs) {
       iface_unhealthy_[iface.device][i] = healthy ? 0 : 1;
@@ -448,14 +361,7 @@ bool Fabric::device_interfaces_healthy(DeviceUid uid) const {
   return true;
 }
 
-std::size_t Fabric::total_spares() const {
-  std::size_t total = 0;
-  for (const std::vector<Group>* groups :
-       {&edge_groups_, &agg_groups_, &core_groups_}) {
-    for (const Group& g : *groups) total += g.spare.size();
-  }
-  return total;
-}
+std::size_t Fabric::total_spares() const { return pool_.spare_count(); }
 
 void Fabric::attach_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
@@ -471,36 +377,14 @@ void Fabric::attach_metrics(obs::MetricsRegistry* metrics) {
 }
 
 std::optional<Fabric::FailoverReport> Fabric::fail_over(SwitchPosition pos) {
-  Group& g = group(pos.layer, topo::failure_group_of(k(), pos));
-  if (g.spare.empty()) return std::nullopt;
-  std::size_t slot = static_cast<std::size_t>(topo::group_slot_of(k(), pos));
-  DeviceUid failed = g.assigned[slot];
-  DeviceUid spare = g.spare.front();
-  g.spare.erase(g.spare.begin());
-
-  FailoverReport report;
-  report.position = pos;
-  report.failed_device = failed;
-  report.replacement = spare;
-
-  for (const DevicePort& dp : device_ports_[failed]) {
-    CircuitSwitch& sw = switches_[dp.cs];
-    std::optional<int> peer = sw.peer(dp.port);
-    if (!peer.has_value()) continue;
-    int spare_port = device_port_on(spare, dp.cs);
-    SBK_ASSERT_MSG(!sw.is_matched(spare_port),
-                   "spare device ports must be idle before failover");
-    sw.disconnect(dp.port);
-    sw.connect(spare_port, *peer);
-    ++report.circuit_switches_touched;
-  }
-  report.reconfiguration_latency =
-      reconfiguration_latency(params_.technology);
-
-  g.assigned[slot] = spare;
-  g.out.push_back(failed);
-  device_state_[failed] = DeviceState::kOut;
-  device_state_[spare] = DeviceState::kInService;
+  std::optional<DevicePool::Swap> swap =
+      pool_.fail_over(group_index(pos.layer, topo::failure_group_of(k(), pos)),
+                      topo::group_slot_of(k(), pos));
+  if (!swap.has_value()) return std::nullopt;
+  const DeviceUid failed = swap->failed;
+  const DeviceUid spare = swap->replacement;
+  FailoverReport report{pos, failed, spare, swap->circuit_switches_touched,
+                        reconfiguration_latency(params_.technology)};
 
   // The position is now served by healthy hardware: bring its node back.
   network().restore_node(node_at(pos));
@@ -511,44 +395,31 @@ std::optional<Fabric::FailoverReport> Fabric::fail_over(SwitchPosition pos) {
   if (m_spare_pool_) m_spare_pool_->set(static_cast<double>(total_spares()));
   if (recorder_ != nullptr && recorder_->enabled()) {
     recorder_->instant("fabric", "failover", trace_now_,
-                       devices_[failed].name + " -> " + devices_[spare].name);
+                       device(failed).name + " -> " + device(spare).name);
     recorder_->counter("fabric", "spare_pool", trace_now_,
                        static_cast<double>(total_spares()));
   }
-  SBK_LOG_INFO("fabric", "failover at " << devices_[failed].name << " -> "
-                                        << devices_[spare].name << " ("
+  SBK_LOG_INFO("fabric", "failover at " << device(failed).name << " -> "
+                                        << device(spare).name << " ("
                                         << report.circuit_switches_touched
                                         << " circuit switches)");
   return report;
 }
 
 void Fabric::return_to_pool(DeviceUid uid) {
-  SBK_EXPECTS(uid < devices_.size());
-  if (device_state_[uid] == DeviceState::kSpare) return;  // idempotent
-  SBK_EXPECTS_MSG(device_state_[uid] == DeviceState::kOut,
-                  "only out-of-service devices can return to the pool");
-  Group& g = group(devices_[uid].layer, devices_[uid].group);
-  auto it = std::find(g.out.begin(), g.out.end(), uid);
-  SBK_ASSERT(it != g.out.end());
-  g.out.erase(it);
-  g.spare.push_back(uid);
-  device_state_[uid] = DeviceState::kSpare;
+  if (!pool_.return_to_pool(uid)) return;  // already a spare
   if (m_pool_returns_) m_pool_returns_->add();
   if (m_spare_pool_) m_spare_pool_->set(static_cast<double>(total_spares()));
   if (recorder_ != nullptr && recorder_->enabled()) {
     recorder_->instant("fabric", "pool_return", trace_now_,
-                       devices_[uid].name);
+                       device(uid).name);
     recorder_->counter("fabric", "spare_pool", trace_now_,
                        static_cast<double>(total_spares()));
   }
 }
 
 int Fabric::device_port_on(DeviceUid uid, std::size_t cs) const {
-  for (const DevicePort& dp : ports_of_device(uid)) {
-    if (dp.cs == cs) return dp.port;
-  }
-  SBK_EXPECTS_MSG(false, "device is not cabled to that circuit switch");
-  return -1;
+  return pool_.port_on(uid, cs);
 }
 
 std::size_t Fabric::cs_of_link(net::LinkId link) const {
@@ -585,13 +456,13 @@ std::size_t Fabric::cs_of_link(net::LinkId link) const {
 
 std::optional<InterfaceRef> Fabric::trace_circuit(std::size_t cs,
                                                   int port) const {
-  SBK_EXPECTS(cs < switches_.size());
+  SBK_EXPECTS(cs < pool_.circuit_switch_count());
   // Bounded walk: a circuit can cross each ring switch at most once.
-  std::size_t budget = 2 * switches_.size() + 4;
+  std::size_t budget = 2 * pool_.circuit_switch_count() + 4;
   std::size_t cur_cs = cs;
   int cur_port = port;
   while (budget-- > 0) {
-    const CircuitSwitch& sw = switches_[cur_cs];
+    const CircuitSwitch& sw = pool_.circuit_switch(cur_cs);
     std::optional<int> matched = sw.peer(cur_port);
     if (!matched.has_value()) return std::nullopt;  // open circuit
     const Attachment& a = sw.attachment(*matched);
@@ -618,18 +489,19 @@ bool Fabric::probe(InterfaceRef from) const {
 
 Fabric::Census Fabric::census() const {
   Census c;
-  c.circuit_switches = switches_.size();
-  for (const CircuitSwitch& sw : switches_) {
-    c.circuit_switch_physical_ports += static_cast<std::size_t>(sw.port_count());
+  c.circuit_switches = pool_.circuit_switch_count();
+  for (std::size_t i = 0; i < c.circuit_switches; ++i) {
+    c.circuit_switch_physical_ports +=
+        static_cast<std::size_t>(pool_.circuit_switch(i).port_count());
   }
-  c.failure_groups =
-      edge_groups_.size() + agg_groups_.size() + core_groups_.size();
+  c.failure_groups = pool_.group_count();
   // Structural census counts devices *built* as backups (names "BS-..."),
   // independent of the current role rotation.
-  for (const PhysicalDevice& d : devices_) {
+  for (DeviceUid uid = 0; uid < pool_.device_count(); ++uid) {
+    const PhysicalDevice& d = pool_.device(uid);
     if (!d.is_host && d.name.rfind("BS-", 0) == 0) {
       ++c.backup_switches;
-      c.backup_device_cables += device_ports_[d.uid].size();
+      c.backup_device_cables += pool_.ports(uid).size();
     }
   }
   return c;
@@ -637,63 +509,18 @@ Fabric::Census Fabric::census() const {
 
 std::vector<std::pair<net::NodeId, net::NodeId>> Fabric::realized_adjacency()
     const {
-  std::vector<std::pair<net::NodeId, net::NodeId>> out;
-  auto node_of_device = [this](DeviceUid uid) -> std::optional<net::NodeId> {
-    const PhysicalDevice& d = devices_[uid];
-    if (d.is_host) {
-      // Host uids are contiguous in global host order.
-      SBK_ASSERT(!host_device_.empty() && uid >= host_device_.front());
-      return ft_.host(static_cast<int>(uid - host_device_.front()));
-    }
-    std::optional<SwitchPosition> pos = position_of_device(uid);
-    if (!pos.has_value()) return std::nullopt;
-    return node_at(*pos);
-  };
-
-  for (const CircuitSwitch& sw : switches_) {
-    for (int p = 0; p < sw.port_count(); ++p) {
-      std::optional<int> q = sw.peer(p);
-      if (!q.has_value() || *q < p) continue;  // count each circuit once
-      const Attachment& pa = sw.attachment(p);
-      const Attachment& qa = sw.attachment(*q);
-      if (pa.kind != Attachment::Kind::kDeviceInterface ||
-          qa.kind != Attachment::Kind::kDeviceInterface) {
-        continue;  // diagnosis circuits through side ports are not links
-      }
-      std::optional<net::NodeId> a = node_of_device(pa.device);
-      std::optional<net::NodeId> b = node_of_device(qa.device);
-      if (a.has_value() && b.has_value()) out.emplace_back(*a, *b);
-    }
-  }
-  return out;
+  return pool_.realized_adjacency(
+      [this](DeviceUid uid) -> std::optional<net::NodeId> {
+        if (pool_.device(uid).is_host) {
+          // Host uids are contiguous in global host order.
+          return ft_.host(static_cast<int>(uid - host_device_.front()));
+        }
+        std::optional<SwitchPosition> pos = position_of_device(uid);
+        if (!pos.has_value()) return std::nullopt;
+        return node_at(*pos);
+      });
 }
 
-void Fabric::check_invariants() const {
-  for (const CircuitSwitch& sw : switches_) {
-    SBK_ENSURES(sw.matching_is_consistent());
-  }
-  auto check_group = [this](const Group& g) {
-    SBK_ENSURES(g.assigned.size() ==
-                static_cast<std::size_t>(half_k()));
-    for (DeviceUid uid : g.assigned) {
-      SBK_ENSURES(device_state_[uid] == DeviceState::kInService);
-    }
-    for (DeviceUid uid : g.spare) {
-      SBK_ENSURES(device_state_[uid] == DeviceState::kSpare);
-      // Spare devices must hold no live circuits.
-      for (const DevicePort& dp : device_ports_[uid]) {
-        SBK_ENSURES(!switches_[dp.cs].is_matched(dp.port));
-      }
-    }
-    for (DeviceUid uid : g.out) {
-      SBK_ENSURES(device_state_[uid] == DeviceState::kOut);
-    }
-    SBK_ENSURES(g.spare.size() + g.out.size() ==
-                static_cast<std::size_t>(params_.backups_for(g.layer)));
-  };
-  for (const Group& g : edge_groups_) check_group(g);
-  for (const Group& g : agg_groups_) check_group(g);
-  for (const Group& g : core_groups_) check_group(g);
-}
+void Fabric::check_invariants() const { pool_.check_invariants(); }
 
 }  // namespace sbk::sharebackup

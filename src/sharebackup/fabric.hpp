@@ -22,6 +22,9 @@
 //                             pod serving the cores ≡ m (mod k/2).
 //   * Interface health is ground truth for fault injection and offline
 //     diagnosis: an interface is the (device, circuit switch) cable end.
+//   * Devices, cables, failure groups, fail-over and pool return live in
+//     the DevicePool shared with the leaf-spine fabric; this class adds
+//     the fat-tree wiring and the position -> (group, slot) map.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +36,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sharebackup/circuit_switch.hpp"
-#include "sharebackup/device.hpp"
+#include "sharebackup/device_pool.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/position.hpp"
 #include "util/keys.hpp"
@@ -121,7 +124,7 @@ class Fabric {
 
   // --- circuit switches ---------------------------------------------------
   [[nodiscard]] std::size_t circuit_switch_count() const noexcept {
-    return switches_.size();
+    return pool_.circuit_switch_count();
   }
   [[nodiscard]] const CircuitSwitch& circuit_switch(std::size_t idx) const;
   [[nodiscard]] CircuitSwitch& circuit_switch(std::size_t idx);
@@ -130,10 +133,7 @@ class Fabric {
   /// layers 2-3 over k/2.
   [[nodiscard]] std::size_t cs_index(int cs_layer, int pod, int m) const;
   /// Circuit switches a device is cabled to, with its port on each.
-  struct DevicePort {
-    std::size_t cs;
-    int port;
-  };
+  using DevicePort = DevicePool::DevicePort;
   [[nodiscard]] const std::vector<DevicePort>& ports_of_device(
       DeviceUid uid) const;
 
@@ -236,23 +236,12 @@ class Fabric {
   void check_invariants() const;
 
  private:
-  struct Group {
-    Layer layer;
-    int id;
-    std::vector<DeviceUid> assigned;  ///< by slot
-    std::vector<DeviceUid> spare;
-    std::vector<DeviceUid> out;
-    std::vector<std::size_t> circuit_switches;  ///< all CS the group touches
-  };
-
   void build_devices();
   void build_circuit_switches();
   void wire_defaults();
-  [[nodiscard]] Group& group(Layer layer, int id);
-  [[nodiscard]] const Group& group(Layer layer, int id) const;
-  [[nodiscard]] DeviceUid new_device(bool is_host, Layer layer, int group,
-                                     std::string name);
-  void register_port(DeviceUid dev, std::size_t cs, int port);
+  /// Pool index of a failure group: edge groups by pod, then agg groups
+  /// by pod, then core groups.
+  [[nodiscard]] std::size_t group_index(Layer layer, int id) const;
   // iface.cs is a std::size_t: packing it unmasked into the low word
   // would let a cs >= 2^32 bleed into the device word and alias another
   // interface's health entry, so the checked pack is load-bearing here.
@@ -262,16 +251,10 @@ class Fabric {
 
   FabricParams params_;
   topo::FatTree ft_;
-  std::vector<PhysicalDevice> devices_;
-  std::vector<DeviceState> device_state_;
-  std::vector<std::vector<DevicePort>> device_ports_;
-  std::vector<Group> edge_groups_;
-  std::vector<Group> agg_groups_;
-  std::vector<Group> core_groups_;
-  std::vector<CircuitSwitch> switches_;
+  DevicePool pool_;
   std::size_t cs_layer1_per_pod_ = 0;
-  /// Per-cabled-port unhealthy flags, parallel to device_ports_ (same
-  /// outer and inner indexing). Probing storms during recovery hit this
+  /// Per-cabled-port unhealthy flags, parallel to pool_.ports() (same
+  /// device and port indexing). Probing storms during recovery hit this
   /// once per cable end, so it is flat; devices hold a handful of ports
   /// and a linear cs scan stays in one cache line.
   std::vector<std::vector<std::uint8_t>> iface_unhealthy_;

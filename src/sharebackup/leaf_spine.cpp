@@ -1,7 +1,5 @@
 #include "sharebackup/leaf_spine.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace sbk::sharebackup {
@@ -53,47 +51,30 @@ LeafSpineFabric::LeafSpineFabric(const LeafSpineParams& params)
   }
 
   // --- devices ----------------------------------------------------------------
-  auto build_groups = [&](LsTier tier, int count, const char* tag,
-                          std::vector<Group>& out) {
-    for (int g = 0; g < count / G; ++g) {
-      Group grp;
-      grp.tier = tier;
-      grp.id = g;
-      for (int s = 0; s < G; ++s) {
-        grp.assigned.push_back(new_device(
-            std::string("LS-") + tag + '-' + std::to_string(g) + '-' +
-            std::to_string(s)));
-      }
-      for (int b = 0; b < n; ++b) {
-        DeviceUid uid = new_device(std::string("LS-BS-") + tag + '-' +
-                                   std::to_string(g) + '-' +
-                                   std::to_string(b));
-        device_state_[uid] = DeviceState::kSpare;
-        grp.spare.push_back(uid);
-      }
-      out.push_back(std::move(grp));
-    }
-  };
-  build_groups(LsTier::kLeaf, L, "leaf", leaf_groups_);
-  build_groups(LsTier::kSpine, S, "spine", spine_groups_);
+  const int leaf_grp_count = L / G;
+  const int spine_grp_count = S / G;
+  for (int g = 0; g < leaf_grp_count; ++g) {
+    pool_.add_group(topo::Layer::kEdge, g, G, n, "leaf");
+  }
+  for (int g = 0; g < spine_grp_count; ++g) {
+    pool_.add_group(topo::Layer::kCore, g, G, n, "spine");
+  }
   for (int i = 0; i < L * H; ++i) {
-    host_device_.push_back(new_device("LSHOST-" + std::to_string(i)));
+    host_device_.push_back(pool_.add_host("LSHOST-" + std::to_string(i)));
   }
 
   // --- circuit switches ----------------------------------------------------
   // Layer 1: per leaf group, H switches (host slot m of each member).
-  const int leaf_grp_count = L / G;
-  const int spine_grp_count = S / G;
   for (int lg = 0; lg < leaf_grp_count; ++lg) {
     for (int m = 0; m < H; ++m) {
-      switches_.emplace_back(ls_cs_name(1, lg, 0, m), G, n, n);
+      pool_.add_circuit_switch(ls_cs_name(1, lg, 0, m), G, n, n);
     }
   }
   // Layer 2: per (leaf group, spine group) pair, G switches.
   for (int lg = 0; lg < leaf_grp_count; ++lg) {
     for (int sg = 0; sg < spine_grp_count; ++sg) {
       for (int m = 0; m < G; ++m) {
-        switches_.emplace_back(ls_cs_name(2, lg, sg, m), G, n, n);
+        pool_.add_circuit_switch(ls_cs_name(2, lg, sg, m), G, n, n);
       }
     }
   }
@@ -101,79 +82,65 @@ LeafSpineFabric::LeafSpineFabric(const LeafSpineParams& params)
   // Interface indexing: leaf device — 0..H-1 down, H..H+S-1 up
   // (uplink index = sg*G + m); spine device — one interface per leaf
   // group column it meets, index = lg*G + m.
+  auto at = [](const std::vector<DeviceUid>& devices, int i) {
+    return devices[static_cast<std::size_t>(i)];
+  };
   for (int lg = 0; lg < leaf_grp_count; ++lg) {
-    Group& grp = leaf_groups_[static_cast<std::size_t>(lg)];
+    const DevicePool::Group& grp =
+        pool_.group(group_index(LsTier::kLeaf, lg));
     for (int m = 0; m < H; ++m) {
       std::size_t cs = cs_layer1(lg, m);
       for (int a = 0; a < G; ++a) {
-        int leaf_index = lg * G + a;
-        int host_index = leaf_index * H + m;
-        attach(cs, PortClass::kSouthRegular, a,
-               host_device_[static_cast<std::size_t>(host_index)], 0);
-        attach(cs, PortClass::kNorthRegular, a,
-               grp.assigned[static_cast<std::size_t>(a)], m);
+        int host_index = (lg * G + a) * H + m;
+        pool_.attach(cs, PortClass::kSouthRegular, a,
+                     at(host_device_, host_index), 0);
+        pool_.attach(cs, PortClass::kNorthRegular, a, at(grp.assigned, a), m);
       }
       for (int b = 0; b < n; ++b) {
-        attach(cs, PortClass::kNorthBackup, b,
-               grp.spare[static_cast<std::size_t>(b)], m);
+        pool_.attach(cs, PortClass::kNorthBackup, b, at(grp.spare, b), m);
       }
     }
   }
   for (int lg = 0; lg < leaf_grp_count; ++lg) {
-    Group& lgrp = leaf_groups_[static_cast<std::size_t>(lg)];
+    const DevicePool::Group& lgrp =
+        pool_.group(group_index(LsTier::kLeaf, lg));
     for (int sg = 0; sg < spine_grp_count; ++sg) {
-      Group& sgrp = spine_groups_[static_cast<std::size_t>(sg)];
+      const DevicePool::Group& sgrp =
+          pool_.group(group_index(LsTier::kSpine, sg));
       for (int m = 0; m < G; ++m) {
         std::size_t cs = cs_layer2(lg, sg, m);
         for (int a = 0; a < G; ++a) {
-          attach(cs, PortClass::kSouthRegular, a,
-                 lgrp.assigned[static_cast<std::size_t>(a)],
-                 H + sg * G + m);
+          pool_.attach(cs, PortClass::kSouthRegular, a, at(lgrp.assigned, a),
+                       H + sg * G + m);
         }
         for (int b = 0; b < n; ++b) {
-          attach(cs, PortClass::kSouthBackup, b,
-                 lgrp.spare[static_cast<std::size_t>(b)], H + sg * G + m);
+          pool_.attach(cs, PortClass::kSouthBackup, b, at(lgrp.spare, b),
+                       H + sg * G + m);
         }
         for (int a = 0; a < G; ++a) {
-          attach(cs, PortClass::kNorthRegular, a,
-                 sgrp.assigned[static_cast<std::size_t>(a)], lg * G + m);
+          pool_.attach(cs, PortClass::kNorthRegular, a, at(sgrp.assigned, a),
+                       lg * G + m);
         }
         for (int b = 0; b < n; ++b) {
-          attach(cs, PortClass::kNorthBackup, b,
-                 sgrp.spare[static_cast<std::size_t>(b)], lg * G + m);
+          pool_.attach(cs, PortClass::kNorthBackup, b, at(sgrp.spare, b),
+                       lg * G + m);
         }
       }
     }
   }
 
   // Side rings: layer-1 rows per leaf group; layer-2 rows per group pair.
-  auto chain = [&](std::size_t base, int count) {
-    if (count < 2) return;
-    for (int m = 0; m < count; ++m) {
-      CircuitSwitch& a = switches_[base + static_cast<std::size_t>(m)];
-      CircuitSwitch& b =
-          switches_[base + static_cast<std::size_t>((m + 1) % count)];
-      int right = a.port(PortClass::kSideRight);
-      int left = b.port(PortClass::kSideLeft);
-      a.attach_side(right,
-                    static_cast<int>(base + static_cast<std::size_t>(
-                                                (m + 1) % count)),
-                    left);
-      b.attach_side(left, static_cast<int>(base + static_cast<std::size_t>(m)),
-                    right);
-    }
-  };
-  for (int lg = 0; lg < leaf_grp_count; ++lg) chain(cs_layer1(lg, 0), H);
   for (int lg = 0; lg < leaf_grp_count; ++lg) {
+    pool_.ring(cs_layer1(lg, 0), H);
     for (int sg = 0; sg < spine_grp_count; ++sg) {
-      chain(cs_layer2(lg, sg, 0), G);
+      pool_.ring(cs_layer2(lg, sg, 0), G);
     }
   }
 
   // --- default matchings ------------------------------------------------------
   for (int lg = 0; lg < leaf_grp_count; ++lg) {
     for (int m = 0; m < H; ++m) {
-      CircuitSwitch& sw = switches_[cs_layer1(lg, m)];
+      CircuitSwitch& sw = pool_.circuit_switch(cs_layer1(lg, m));
       for (int a = 0; a < G; ++a) {
         sw.connect(sw.port(PortClass::kSouthRegular, a),
                    sw.port(PortClass::kNorthRegular, a));
@@ -181,7 +148,7 @@ LeafSpineFabric::LeafSpineFabric(const LeafSpineParams& params)
     }
     for (int sg = 0; sg < spine_grp_count; ++sg) {
       for (int m = 0; m < G; ++m) {
-        CircuitSwitch& sw = switches_[cs_layer2(lg, sg, m)];
+        CircuitSwitch& sw = pool_.circuit_switch(cs_layer2(lg, sg, m));
         for (int a = 0; a < G; ++a) {
           sw.connect(sw.port(PortClass::kSouthRegular, a),
                      sw.port(PortClass::kNorthRegular, (a + m) % G));
@@ -192,20 +159,14 @@ LeafSpineFabric::LeafSpineFabric(const LeafSpineParams& params)
   check_invariants();
 }
 
-DeviceUid LeafSpineFabric::new_device(std::string name) {
-  DeviceUid uid = static_cast<DeviceUid>(device_name_.size());
-  device_name_.push_back(std::move(name));
-  device_state_.push_back(DeviceState::kInService);
-  device_ports_.emplace_back();
-  return uid;
-}
-
-void LeafSpineFabric::attach(std::size_t cs, PortClass cls, int slot,
-                             DeviceUid dev, int iface) {
-  CircuitSwitch& sw = switches_[cs];
-  int port = sw.port(cls, slot);
-  sw.attach_device(port, dev, iface);
-  device_ports_[dev].push_back(DevicePort{cs, port});
+std::size_t LeafSpineFabric::group_index(LsTier tier, int id) const {
+  const int leaf_groups = params_.leaves / params_.group_size;
+  if (tier == LsTier::kLeaf) {
+    SBK_EXPECTS(id >= 0 && id < leaf_groups);
+    return static_cast<std::size_t>(id);
+  }
+  SBK_EXPECTS(id >= 0 && id < params_.spines / params_.group_size);
+  return static_cast<std::size_t>(leaf_groups + id);
 }
 
 std::size_t LeafSpineFabric::cs_layer1(int leaf_group, int m) const {
@@ -254,162 +215,44 @@ int LeafSpineFabric::group_of(LsPosition pos) const {
   return pos.index / params_.group_size;
 }
 
-LeafSpineFabric::Group& LeafSpineFabric::group(LsTier tier, int id) {
-  auto& groups = tier == LsTier::kLeaf ? leaf_groups_ : spine_groups_;
-  SBK_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < groups.size());
-  return groups[static_cast<std::size_t>(id)];
-}
-
-const LeafSpineFabric::Group& LeafSpineFabric::group(LsTier tier,
-                                                     int id) const {
-  return const_cast<LeafSpineFabric*>(this)->group(tier, id);
-}
-
 DeviceUid LeafSpineFabric::device_at(LsPosition pos) const {
-  const Group& g = group(pos.tier, group_of(pos));
+  const DevicePool::Group& g =
+      pool_.group(group_index(pos.tier, group_of(pos)));
   return g.assigned[static_cast<std::size_t>(pos.index % params_.group_size)];
 }
 
-DeviceState LeafSpineFabric::device_state(DeviceUid uid) const {
-  SBK_EXPECTS(uid < device_state_.size());
-  return device_state_[uid];
-}
-
 std::vector<DeviceUid> LeafSpineFabric::spares(LsTier tier, int grp) const {
-  return group(tier, grp).spare;
-}
-
-int LeafSpineFabric::device_port_on(DeviceUid uid, std::size_t cs) const {
-  for (const DevicePort& dp : device_ports_[uid]) {
-    if (dp.cs == cs) return dp.port;
-  }
-  SBK_EXPECTS_MSG(false, "device is not cabled to that circuit switch");
-  return -1;
+  return pool_.group(group_index(tier, grp)).spare;
 }
 
 std::optional<LeafSpineFabric::FailoverReport> LeafSpineFabric::fail_over(
     LsPosition pos) {
-  Group& g = group(pos.tier, group_of(pos));
-  if (g.spare.empty()) return std::nullopt;
-  std::size_t slot = static_cast<std::size_t>(pos.index % params_.group_size);
-  DeviceUid failed = g.assigned[slot];
-  DeviceUid spare = g.spare.front();
-  g.spare.erase(g.spare.begin());
-
-  FailoverReport report;
-  report.position = pos;
-  report.failed_device = failed;
-  report.replacement = spare;
-  for (const DevicePort& dp : device_ports_[failed]) {
-    CircuitSwitch& sw = switches_[dp.cs];
-    std::optional<int> peer = sw.peer(dp.port);
-    if (!peer.has_value()) continue;
-    int spare_port = device_port_on(spare, dp.cs);
-    SBK_ASSERT(!sw.is_matched(spare_port));
-    sw.disconnect(dp.port);
-    sw.connect(spare_port, *peer);
-    ++report.circuit_switches_touched;
-  }
-  report.reconfiguration_latency =
-      reconfiguration_latency(params_.technology);
-  g.assigned[slot] = spare;
-  g.out.push_back(failed);
-  device_state_[failed] = DeviceState::kOut;
-  device_state_[spare] = DeviceState::kInService;
+  std::optional<DevicePool::Swap> swap = pool_.fail_over(
+      group_index(pos.tier, group_of(pos)), pos.index % params_.group_size);
+  if (!swap.has_value()) return std::nullopt;
   net_.restore_node(node_at(pos));
-  return report;
-}
-
-void LeafSpineFabric::return_to_pool(DeviceUid uid) {
-  SBK_EXPECTS(uid < device_state_.size());
-  SBK_EXPECTS(device_state_[uid] == DeviceState::kOut);
-  auto try_groups = [&](std::vector<Group>& groups) {
-    for (Group& g : groups) {
-      auto it = std::find(g.out.begin(), g.out.end(), uid);
-      if (it != g.out.end()) {
-        g.out.erase(it);
-        g.spare.push_back(uid);
-        device_state_[uid] = DeviceState::kSpare;
-        return true;
-      }
-    }
-    return false;
-  };
-  bool returned = try_groups(leaf_groups_) || try_groups(spine_groups_);
-  SBK_ENSURES(returned);
-}
-
-const CircuitSwitch& LeafSpineFabric::circuit_switch(std::size_t idx) const {
-  SBK_EXPECTS(idx < switches_.size());
-  return switches_[idx];
+  return FailoverReport{pos, swap->failed, swap->replacement,
+                        swap->circuit_switches_touched,
+                        reconfiguration_latency(params_.technology)};
 }
 
 std::vector<std::pair<net::NodeId, net::NodeId>>
 LeafSpineFabric::realized_adjacency() const {
-  std::vector<std::pair<net::NodeId, net::NodeId>> out;
-  auto node_of_device = [&](DeviceUid uid) -> std::optional<net::NodeId> {
-    if (!host_device_.empty() && uid >= host_device_.front()) {
-      return hosts_[uid - host_device_.front()];
-    }
-    if (device_state_[uid] != DeviceState::kInService) return std::nullopt;
-    for (const auto& groups : {&leaf_groups_, &spine_groups_}) {
-      for (const Group& g : *groups) {
-        for (std::size_t slot = 0; slot < g.assigned.size(); ++slot) {
-          if (g.assigned[slot] != uid) continue;
-          int index = g.id * params_.group_size + static_cast<int>(slot);
-          return g.tier == LsTier::kLeaf ? leaf(index) : spine(index);
-        }
-      }
-    }
-    return std::nullopt;
-  };
-  for (const CircuitSwitch& sw : switches_) {
-    for (int p = 0; p < sw.port_count(); ++p) {
-      std::optional<int> q = sw.peer(p);
-      if (!q.has_value() || *q < p) continue;
-      const Attachment& pa = sw.attachment(p);
-      const Attachment& qa = sw.attachment(*q);
-      if (pa.kind != Attachment::Kind::kDeviceInterface ||
-          qa.kind != Attachment::Kind::kDeviceInterface) {
-        continue;
-      }
-      auto a = node_of_device(pa.device);
-      auto b = node_of_device(qa.device);
-      if (a.has_value() && b.has_value()) out.emplace_back(*a, *b);
-    }
-  }
-  return out;
-}
-
-void LeafSpineFabric::check_invariants() const {
-  for (const CircuitSwitch& sw : switches_) {
-    SBK_ENSURES(sw.matching_is_consistent());
-  }
-  auto check = [&](const std::vector<Group>& groups) {
-    for (const Group& g : groups) {
-      SBK_ENSURES(g.assigned.size() ==
-                  static_cast<std::size_t>(params_.group_size));
-      for (DeviceUid uid : g.assigned) {
-        SBK_ENSURES(device_state_[uid] == DeviceState::kInService);
-      }
-      for (DeviceUid uid : g.spare) {
-        SBK_ENSURES(device_state_[uid] == DeviceState::kSpare);
-        for (const DevicePort& dp : device_ports_[uid]) {
-          SBK_ENSURES(!switches_[dp.cs].is_matched(dp.port));
-        }
-      }
-      SBK_ENSURES(g.spare.size() + g.out.size() ==
-                  static_cast<std::size_t>(params_.backups_per_group));
-    }
-  };
-  check(leaf_groups_);
-  check(spine_groups_);
+  return pool_.realized_adjacency(
+      [this](DeviceUid uid) -> std::optional<net::NodeId> {
+        const PhysicalDevice& d = pool_.device(uid);
+        if (d.is_host) return hosts_[uid - host_device_.front()];
+        std::optional<int> slot = pool_.slot_of(uid);
+        if (!slot.has_value()) return std::nullopt;
+        const int index = d.group * params_.group_size + *slot;
+        return d.layer == topo::Layer::kEdge ? leaf(index) : spine(index);
+      });
 }
 
 LeafSpineFabric::Census LeafSpineFabric::census() const {
   Census c;
-  c.circuit_switches = switches_.size();
-  c.failure_groups = leaf_groups_.size() + spine_groups_.size();
+  c.circuit_switches = pool_.circuit_switch_count();
+  c.failure_groups = pool_.group_count();
   c.backup_switches =
       c.failure_groups * static_cast<std::size_t>(params_.backups_per_group);
   return c;

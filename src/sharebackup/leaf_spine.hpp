@@ -19,9 +19,11 @@
 //   * side ports chain each circuit-switch row into a ring, as in the
 //     fat-tree fabric.
 //
-// Failover semantics are identical to sharebackup::Fabric: network nodes
-// are logical positions; a failover re-points the failed device's
-// circuits at a spare and restores the position.
+// Failover semantics are identical to sharebackup::Fabric, because both
+// run the same DevicePool: network nodes are logical positions; a
+// failover re-points the failed device's circuits at a spare and
+// restores the position. This class adds the leaf-spine wiring and the
+// position -> (group, slot) map.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@
 #include "net/ids.hpp"
 #include "net/network.hpp"
 #include "sharebackup/circuit_switch.hpp"
-#include "sharebackup/device.hpp"
+#include "sharebackup/device_pool.hpp"
 #include "util/time.hpp"
 
 namespace sbk::sharebackup {
@@ -79,7 +81,9 @@ class LeafSpineFabric {
 
   // --- devices ---------------------------------------------------------------
   [[nodiscard]] DeviceUid device_at(LsPosition pos) const;
-  [[nodiscard]] DeviceState device_state(DeviceUid uid) const;
+  [[nodiscard]] DeviceState device_state(DeviceUid uid) const {
+    return pool_.state(uid);
+  }
   [[nodiscard]] std::vector<DeviceUid> spares(LsTier tier, int group) const;
   [[nodiscard]] int group_of(LsPosition pos) const;
 
@@ -92,18 +96,21 @@ class LeafSpineFabric {
     Seconds reconfiguration_latency = 0.0;
   };
   [[nodiscard]] std::optional<FailoverReport> fail_over(LsPosition pos);
-  void return_to_pool(DeviceUid uid);
+  /// Idempotent, like Fabric::return_to_pool.
+  void return_to_pool(DeviceUid uid) { pool_.return_to_pool(uid); }
 
   // --- structure -------------------------------------------------------------
   [[nodiscard]] std::size_t circuit_switch_count() const noexcept {
-    return switches_.size();
+    return pool_.circuit_switch_count();
   }
-  [[nodiscard]] const CircuitSwitch& circuit_switch(std::size_t idx) const;
+  [[nodiscard]] const CircuitSwitch& circuit_switch(std::size_t idx) const {
+    return pool_.circuit_switch(idx);
+  }
   /// Packet adjacency realized by the current matchings (must equal the
   /// leaf-spine link set in any consistent state).
   [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>>
   realized_adjacency() const;
-  void check_invariants() const;
+  void check_invariants() const { pool_.check_invariants(); }
 
   struct Census {
     std::size_t backup_switches = 0;
@@ -113,39 +120,19 @@ class LeafSpineFabric {
   [[nodiscard]] Census census() const;
 
  private:
-  struct Group {
-    LsTier tier;
-    int id;
-    std::vector<DeviceUid> assigned;
-    std::vector<DeviceUid> spare;
-    std::vector<DeviceUid> out;
-  };
-  struct DevicePort {
-    std::size_t cs;
-    int port;
-  };
-
-  [[nodiscard]] Group& group(LsTier tier, int id);
-  [[nodiscard]] const Group& group(LsTier tier, int id) const;
-  [[nodiscard]] DeviceUid new_device(std::string name);
-  void attach(std::size_t cs, PortClass cls, int slot, DeviceUid dev,
-              int iface);
+  /// Pool index of a failure group: leaf groups, then spine groups.
+  [[nodiscard]] std::size_t group_index(LsTier tier, int id) const;
   [[nodiscard]] std::size_t cs_layer1(int leaf_group, int m) const;
   [[nodiscard]] std::size_t cs_layer2(int leaf_group, int spine_group,
                                       int m) const;
-  [[nodiscard]] int device_port_on(DeviceUid uid, std::size_t cs) const;
 
   LeafSpineParams params_;
   net::Network net_;
   std::vector<net::NodeId> hosts_;
   std::vector<net::NodeId> leaves_;
   std::vector<net::NodeId> spines_;
-  std::vector<Group> leaf_groups_;
-  std::vector<Group> spine_groups_;
-  std::vector<CircuitSwitch> switches_;
-  std::vector<std::vector<DevicePort>> device_ports_;
-  std::vector<DeviceState> device_state_;
-  std::vector<std::string> device_name_;
+  /// Leaves are kEdge devices and spines kCore devices of the pool.
+  DevicePool pool_;
   std::vector<DeviceUid> host_device_;
 };
 

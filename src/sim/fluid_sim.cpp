@@ -401,30 +401,6 @@ void FluidSimulator::fill_directed_utilization(std::vector<double>& used) const 
   }
 }
 
-double FluidSimulator::mean_active_rate() const {
-  if (live_count_ == 0) return 0.0;
-  double sum = 0.0;
-  for (std::uint32_t idx : active_) {
-    if (idx != kTombstone) sum += rate_[idx];
-  }
-  return sum / static_cast<double>(live_count_);
-}
-
-double FluidSimulator::link_utilization_mean() const {
-  std::vector<double> used;
-  fill_directed_utilization(used);
-  double sum = 0.0;
-  std::size_t loaded = 0;
-  for (std::size_t slot = 0; slot < used.size(); ++slot) {
-    if (used[slot] <= 0.0) continue;
-    const double cap = net_->link(net::LinkId(static_cast<std::uint32_t>(slot / 2))).capacity;
-    if (cap <= 0.0) continue;
-    sum += used[slot] / cap;
-    ++loaded;
-  }
-  return loaded == 0 ? 0.0 : sum / static_cast<double>(loaded);
-}
-
 double FluidSimulator::link_utilization_max() const {
   std::vector<double> used;
   fill_directed_utilization(used);

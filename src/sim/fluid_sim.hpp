@@ -164,12 +164,9 @@ class FluidSimulator {
   [[nodiscard]] std::size_t active_flow_count() const noexcept {
     return live_count_;
   }
-  /// Mean rate (capacity units/s) over active flows; 0 when none.
-  [[nodiscard]] double mean_active_rate() const;
-  /// Mean / max utilization (allocated rate / capacity, per direction)
-  /// over the directed links currently carrying at least one active flow.
-  /// Both are 0 when nothing is flowing.
-  [[nodiscard]] double link_utilization_mean() const;
+  /// Max utilization (allocated rate / capacity, per direction) over the
+  /// directed links currently carrying at least one active flow; 0 when
+  /// nothing is flowing.
   [[nodiscard]] double link_utilization_max() const;
 
  private:

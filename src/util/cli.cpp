@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+
+#include "util/assert.hpp"
 
 namespace sbk::cli {
 
@@ -82,6 +85,54 @@ std::optional<double> parse_double(std::string_view text) {
   const double v = std::strtod(buf.c_str(), &end);
   if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
   return v;
+}
+
+long long IntFlags::get(std::string_view name) const {
+  for (const auto& [flag, value] : values) {
+    if (flag == name) return value;
+  }
+  SBK_EXPECTS_MSG(false, "flag was not declared");
+  return 0;
+}
+
+std::optional<IntFlags> parse_int_flags(int argc, const char* const* argv,
+                                        const std::vector<IntFlag>& flags,
+                                        std::size_t max_positional,
+                                        std::string_view synopsis) {
+  std::vector<FlagSpec> specs;
+  for (const IntFlag& f : flags) specs.push_back({f.name, true});
+  ParseResult parsed = parse_args(argc, argv, specs, max_positional);
+  IntFlags out;
+  std::string error = parsed.error;
+  for (const IntFlag& f : flags) {
+    if (!error.empty()) break;
+    long long value = f.fallback;
+    if (const std::optional<std::string> text = parsed.value_of(f.name)) {
+      const std::optional<long long> n = parse_int(*text);
+      if (!n.has_value()) {
+        error = "flag '--" + std::string(f.name) +
+                "' needs an integer, got '" + *text + "'";
+        break;
+      }
+      value = *n;
+    }
+    out.values.emplace_back(f.name, value);
+  }
+  if (error.empty()) {
+    out.positional = std::move(parsed.positional);
+    return out;
+  }
+  std::fprintf(stderr, "%s: %s\nusage: %s", argv[0], error.c_str(), argv[0]);
+  if (!synopsis.empty()) {
+    std::fprintf(stderr, " %.*s", static_cast<int>(synopsis.size()),
+                 synopsis.data());
+  }
+  for (const IntFlag& f : flags) {
+    std::fprintf(stderr, " [--%.*s=%lld]", static_cast<int>(f.name.size()),
+                 f.name.data(), f.fallback);
+  }
+  std::fprintf(stderr, "\n");
+  return std::nullopt;
 }
 
 }  // namespace sbk::cli

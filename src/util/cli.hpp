@@ -1,5 +1,5 @@
-// Strict command-line parsing shared by the example CLIs. The previous
-// hand-rolled loops silently ignored unknown flags and parsed garbage
+// Strict command-line parsing shared by the example and bench CLIs.
+// Hand-rolled loops silently ignored unknown flags and parsed garbage
 // numerics as 0 via strtol — a mistyped `--sceanrios=...` or a stray
 // argument would run a soak with defaults and report success. Here every
 // flag must be declared, every declared value-flag must carry a
@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sbk::cli {
@@ -52,5 +53,29 @@ struct ParseResult {
 /// yield nullopt instead of a silent prefix parse.
 [[nodiscard]] std::optional<long long> parse_int(std::string_view text);
 [[nodiscard]] std::optional<double> parse_double(std::string_view text);
+
+/// A `--name=<integer>` flag and the value it takes when absent.
+struct IntFlag {
+  std::string_view name;
+  long long fallback;
+};
+
+/// Result of parse_int_flags.
+struct IntFlags {
+  std::vector<std::pair<std::string, long long>> values;  ///< declared order
+  std::vector<std::string> positional;
+
+  /// Value of a declared flag: as given, or its fallback when absent.
+  [[nodiscard]] long long get(std::string_view name) const;
+};
+
+/// parse_args for a harness whose flags are all integers with defaults.
+/// On an unknown flag, a missing or non-integer value, or more than
+/// `max_positional` positionals, prints the error and the usage line
+/// `usage: <argv[0]> <synopsis> [--name=<fallback>]...` to stderr and
+/// returns nullopt; the caller then exits with status 2.
+[[nodiscard]] std::optional<IntFlags> parse_int_flags(
+    int argc, const char* const* argv, const std::vector<IntFlag>& flags,
+    std::size_t max_positional = 0, std::string_view synopsis = {});
 
 }  // namespace sbk::cli

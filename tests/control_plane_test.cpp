@@ -1,10 +1,14 @@
 // Tests for the assembled control plane: detection-to-recovery wiring,
-// background diagnosis scheduling, table mirroring, cluster gating, and
-// repeated-failure handling at one position (re-armed detectors).
+// background diagnosis scheduling, cluster gating, non-uniform failure
+// groups, and repeated-failure handling at one position (re-armed
+// detectors).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "control/control_plane.hpp"
 #include "net/algo.hpp"
+#include "routing/table_forwarding.hpp"
 
 namespace sbk::control {
 namespace {
@@ -41,6 +45,42 @@ TEST(ControlPlane, NodeFailureRecoversEndToEnd) {
   EXPECT_FALSE(fabric.network().node_failed(victim));
 }
 
+TEST(ControlPlane, NonUniformFabricRecoversCoreFailureEndToEnd) {
+  // §6 per-layer provisioning with a layer override above
+  // backups_per_group: the plane reads each group's pool from the
+  // fabric, so it builds and recovers like on a uniform fabric.
+  FabricParams p = fp(4, 1);
+  p.backups_core = 2;
+  Fabric fabric(p);
+  sim::EventQueue q;
+  ControlPlane plane(fabric, q, ControlPlaneConfig{});
+  plane.start(0.1);
+
+  const SwitchPosition pos{Layer::kCore, -1, 1};
+  const net::NodeId victim = fabric.node_at(pos);
+  const sharebackup::DeviceUid spare = fabric.spares(Layer::kCore, 1).front();
+  q.schedule_at(0.010, [&] { fabric.network().fail_node(victim); });
+  q.run();
+  EXPECT_FALSE(fabric.network().node_failed(victim));
+  EXPECT_EQ(plane.controller().stats().failovers, 1u);
+  EXPECT_EQ(fabric.device_at(pos), spare);
+  EXPECT_EQ(fabric.spares(Layer::kCore, 1).size(), 1u);
+  fabric.check_invariants();
+  // Every host pair forwards again, through the recovered core too.
+  const topo::FatTree& ft = fabric.fat_tree();
+  routing::TableForwarding fwd(ft);
+  bool crossed = false;
+  for (int i = 0; i < ft.host_count(); ++i) {
+    for (int j = 0; j < ft.host_count(); ++j) {
+      const auto r = fwd.walk(ft.host(i), ft.host(j));
+      EXPECT_TRUE(r.delivered) << i << " -> " << j;
+      crossed |= std::find(r.path.nodes.begin(), r.path.nodes.end(),
+                           victim) != r.path.nodes.end();
+    }
+  }
+  EXPECT_TRUE(crossed);
+}
+
 TEST(ControlPlane, LinkFailureDiagnosedInBackground) {
   Fabric fabric(fp(6, 1));
   sim::EventQueue q;
@@ -65,8 +105,7 @@ TEST(ControlPlane, LinkFailureDiagnosedInBackground) {
   EXPECT_EQ(plane.controller().pending_diagnosis(), 0u);
   EXPECT_EQ(plane.controller().stats().switches_exonerated, 1u);
   EXPECT_EQ(fabric.spares(Layer::kAgg, 1).size(), 1u);
-  // Tables mirrored throughout.
-  plane.tables().check_mirrored(fabric);
+  fabric.check_invariants();
 }
 
 TEST(ControlPlane, RepeatedFailuresAtSamePositionAreReDetected) {
@@ -162,9 +201,13 @@ TEST(ControlPlane, SingleControllerModeWorksWithoutCluster) {
   q.run();
   EXPECT_FALSE(fabric.network().node_failed(victim));
   EXPECT_EQ(plane.controller().stats().failovers, 1u);
-  // The tables follow the failover without a cluster too.
+  // The spare serves the position without a cluster too, and the
+  // rack under it forwards on its group's preloaded table.
   EXPECT_EQ(fabric.device_at(*fabric.position_of_node(victim)), spare);
-  plane.tables().check_mirrored(fabric);
+  routing::TableForwarding fwd(fabric.fat_tree());
+  EXPECT_TRUE(fwd.walk(fabric.fat_tree().host(0, 0, 0),
+                       fabric.fat_tree().host(3, 1, 1))
+                  .delivered);
 }
 
 }  // namespace

@@ -142,6 +142,20 @@ TEST(LeafSpine, RepairedDevicesRotateBackAsSpares) {
   EXPECT_EQ(realized(fabric), link_pairs(fabric.network()));
 }
 
+TEST(LeafSpine, RepeatedPoolReturnIsANoOp) {
+  // A retried or duplicated return command must not corrupt the pool,
+  // exactly as on the fat-tree fabric.
+  LeafSpineFabric fabric(params(4, 2, 3, 2, 1));
+  auto r = fabric.fail_over({LsTier::kLeaf, 1});
+  ASSERT_TRUE(r.has_value());
+  fabric.return_to_pool(r->failed_device);
+  fabric.return_to_pool(r->failed_device);
+  EXPECT_EQ(fabric.device_state(r->failed_device), DeviceState::kSpare);
+  EXPECT_EQ(fabric.spares(LsTier::kLeaf, 0),
+            std::vector<DeviceUid>{r->failed_device});
+  fabric.check_invariants();
+}
+
 TEST(LeafSpine, ChurnKeepsRoutingAlive) {
   LeafSpineFabric fabric(params(8, 4, 2, 4, 2));
   routing::GenericEcmpRouter router(5);

@@ -15,7 +15,6 @@
 #include "routing/ecmp.hpp"
 #include "routing/f10.hpp"
 #include "routing/global_reroute.hpp"
-#include "routing/impersonation.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sim/fluid_sim.hpp"
 #include "sim/max_min.hpp"
@@ -376,34 +375,6 @@ TEST(MaxMinProperty, SolverMatchesReferenceBitForBit) {
         }
       }
       EXPECT_TRUE(bottlenecked) << "trial " << trial << " flow " << i;
-    }
-  }
-}
-
-TEST(ImpersonationProperty, GroupMembersShareIdenticalTables) {
-  routing::ImpersonationStore store(8, 2);
-  // Sample lookups across devices of the same group must agree exactly.
-  for (int pod = 0; pod < 8; ++pod) {
-    std::vector<routing::DeviceUid> devices;
-    for (int j = 0; j < 4; ++j) {
-      devices.push_back(store.device_at({Layer::kEdge, pod, j}));
-    }
-    for (routing::DeviceUid spare : store.spares(Layer::kEdge, pod)) {
-      devices.push_back(spare);
-    }
-    const auto& reference = store.table_of(devices[0]);
-    for (routing::DeviceUid d : devices) {
-      const auto& t = store.table_of(d);
-      ASSERT_EQ(t.size(), reference.size());
-      for (int vlan = 0; vlan < 4; ++vlan) {
-        for (int h = 0; h < 4; ++h) {
-          routing::HostAddr dst{(pod + 3) % 8, 1, h};
-          EXPECT_EQ(t.lookup(dst, vlan, true),
-                    reference.lookup(dst, vlan, true));
-          EXPECT_EQ(t.lookup(dst, routing::kNoVlan),
-                    reference.lookup(dst, routing::kNoVlan));
-        }
-      }
     }
   }
 }

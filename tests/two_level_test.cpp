@@ -1,15 +1,21 @@
-// Tests for the two-level routing tables and the VLAN-based live
-// impersonation machinery (§4.3): table sizes, forwarding correctness,
-// and — the crucial property — forwarding invariance under failovers.
+// Tests for the two-level routing tables and live impersonation (§4.3):
+// table sizes, lookups, and — the crucial property — forwarding over
+// the preloaded group tables is invariant when backups take over
+// positions, fabric- or controller-driven.
 #include <gtest/gtest.h>
 
-#include "routing/impersonation.hpp"
+#include "control/controller.hpp"
+#include "routing/table_forwarding.hpp"
 #include "routing/two_level.hpp"
+#include "sharebackup/fabric.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace sbk::routing {
 namespace {
+
+using topo::Layer;
+using topo::SwitchPosition;
 
 TEST(TwoLevelTable, PrefixPrecedesSuffixAndLongestMatchWins) {
   TwoLevelTable t;
@@ -78,33 +84,40 @@ TEST(TableBuilder, CombinedEqualsMergeOfEdgeTables) {
   }
 }
 
+sharebackup::FabricParams fabric_params(int k, int n) {
+  sharebackup::FabricParams p;
+  p.fat_tree.k = k;
+  p.backups_per_group = n;
+  return p;
+}
+
 class ForwardingAllPairs : public ::testing::TestWithParam<int> {};
 
 TEST_P(ForwardingAllPairs, EveryHostPairDeliversWithCorrectHopCount) {
   const int k = GetParam();
   const int half = k / 2;
-  ImpersonationStore store(k, /*n_backups=*/1);
-  ForwardingSim sim(store);
+  sharebackup::Fabric fabric(fabric_params(k, /*n=*/1));
+  const topo::FatTree& ft = fabric.fat_tree();
+  TableForwarding fwd(ft);
   for (int sp = 0; sp < k; ++sp) {
     for (int se = 0; se < half; ++se) {
       for (int sh = 0; sh < half; ++sh) {
         for (int dp = 0; dp < k; ++dp) {
           for (int de = 0; de < half; ++de) {
             for (int dh = 0; dh < half; ++dh) {
-              HostAddr src{sp, se, sh};
-              HostAddr dst{dp, de, dh};
-              if (src == dst) continue;
-              ForwardingTrace t = sim.walk(src, dst);
-              ASSERT_TRUE(t.delivered)
+              if (sp == dp && se == de && sh == dh) continue;
+              auto r = fwd.walk(ft.host(sp, se, sh), ft.host(dp, de, dh));
+              ASSERT_TRUE(r.delivered)
                   << sp << ',' << se << ',' << sh << " -> " << dp << ','
                   << de << ',' << dh;
+              const std::size_t switch_hops = r.path.nodes.size() - 2;
               if (sp != dp) {
-                EXPECT_EQ(t.switch_hops(), 5u);
+                EXPECT_EQ(switch_hops, 5u);
               } else {
                 // Intra-pod traffic turns around at an agg; intra-edge
                 // traffic also bounces via an agg in this model (§4.3
                 // keeps only k/2 shared in-bound entries).
-                EXPECT_EQ(t.switch_hops(), 3u);
+                EXPECT_EQ(switch_hops, 3u);
               }
             }
           }
@@ -117,84 +130,109 @@ TEST_P(ForwardingAllPairs, EveryHostPairDeliversWithCorrectHopCount) {
 INSTANTIATE_TEST_SUITE_P(Ks, ForwardingAllPairs, ::testing::Values(4, 6));
 
 TEST(Impersonation, FailoverPreservesForwardingExactly) {
-  const int k = 6;
-  const int half = k / 2;
-  ImpersonationStore store(k, 2);
-  ForwardingSim sim(store);
+  sharebackup::Fabric fabric(fabric_params(6, 2));
+  const topo::FatTree& ft = fabric.fat_tree();
+  TableForwarding fwd(ft);
 
-  // Record baseline traces for a sample of pairs.
-  std::vector<std::pair<HostAddr, HostAddr>> pairs;
-  for (int i = 0; i < half; ++i) {
-    pairs.push_back({{0, i, 0}, {3, (i + 1) % half, 2}});
-    pairs.push_back({{2, 0, i}, {2, 2, (i + 2) % half}});
-    pairs.push_back({{5, i, i}, {1, 0, 0}});
+  // Record baseline paths for a sample of inter- and intra-pod pairs.
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+  for (int i = 0; i < 3; ++i) {
+    pairs.push_back({ft.host(0, i, 0), ft.host(3, (i + 1) % 3, 2)});
+    pairs.push_back({ft.host(2, 0, i), ft.host(2, 2, (i + 2) % 3)});
+    pairs.push_back({ft.host(5, i, i), ft.host(1, 0, 0)});
   }
-  std::vector<std::vector<SwitchPosition>> baseline;
-  for (auto& [s, d] : pairs) {
-    ForwardingTrace t = sim.walk(s, d);
-    ASSERT_TRUE(t.delivered);
-    baseline.push_back(t.positions);
+  std::vector<net::Path> baseline;
+  for (auto [s, d] : pairs) {
+    auto r = fwd.walk(s, d);
+    ASSERT_TRUE(r.delivered);
+    baseline.push_back(r.path);
   }
 
-  // Fail over a mix of positions.
-  ASSERT_TRUE(store.fail_over({Layer::kEdge, 0, 1}).has_value());
-  ASSERT_TRUE(store.fail_over({Layer::kAgg, 3, 0}).has_value());
-  ASSERT_TRUE(store.fail_over({Layer::kCore, -1, 4}).has_value());
-  ASSERT_TRUE(store.fail_over({Layer::kEdge, 2, 2}).has_value());
+  // Fail over a mix of positions on every layer.
+  for (SwitchPosition pos : {SwitchPosition{Layer::kEdge, 0, 1},
+                             SwitchPosition{Layer::kAgg, 3, 0},
+                             SwitchPosition{Layer::kCore, -1, 4},
+                             SwitchPosition{Layer::kEdge, 2, 2}}) {
+    ASSERT_TRUE(fabric.fail_over(pos).has_value());
+  }
+  fabric.check_invariants();
 
-  // Forwarding must be unchanged at the position level: same positions,
-  // same hop counts, delivery everywhere.
+  // The spares forward on their group's preloaded table: same paths.
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ForwardingTrace t = sim.walk(pairs[i].first, pairs[i].second);
-    ASSERT_TRUE(t.delivered);
-    EXPECT_EQ(t.positions, baseline[i]) << "pair " << i;
+    auto r = fwd.walk(pairs[i].first, pairs[i].second);
+    ASSERT_TRUE(r.delivered);
+    EXPECT_EQ(r.path, baseline[i]) << "pair " << i;
   }
 }
 
 TEST(Impersonation, ReplacementDeviceServesPositionWithGroupTable) {
-  ImpersonationStore store(8, 1);
-  SwitchPosition pos{Layer::kEdge, 2, 1};
-  DeviceUid before = store.device_at(pos);
-  auto failover = store.fail_over(pos);
-  ASSERT_TRUE(failover.has_value());
-  EXPECT_EQ(failover->failed, before);
-  DeviceUid after = store.device_at(pos);
+  sharebackup::Fabric fabric(fabric_params(8, 1));
+  control::Controller ctrl(fabric, control::ControllerConfig{});
+  const topo::FatTree& ft = fabric.fat_tree();
+  TableForwarding fwd(ft);
+  const SwitchPosition pos{Layer::kEdge, 2, 1};
+  const net::NodeId src = ft.host(2, 1, 0);
+  const net::NodeId dst = ft.host(5, 3, 2);
+  const auto baseline = fwd.walk(src, dst);
+  ASSERT_TRUE(baseline.delivered);
+
+  const sharebackup::DeviceUid before = fabric.device_at(pos);
+  const auto spares = fabric.spares(Layer::kEdge, 2);
+  ASSERT_EQ(spares.size(), 1u);
+  fabric.network().fail_node(fabric.node_at(pos));
+  EXPECT_FALSE(fwd.walk(src, dst).delivered);  // tables never reroute
+  auto o = ctrl.on_switch_failure(pos);
+  ASSERT_TRUE(o.recovered);
+  EXPECT_EQ(o.failovers[0].failed_device, before);
+
+  const sharebackup::DeviceUid after = fabric.device_at(pos);
   EXPECT_NE(after, before);
-  // Both devices hold the *same* combined table object semantics.
-  EXPECT_EQ(store.table_of(before).size(), store.table_of(after).size());
-  EXPECT_EQ(store.layer_of(after), Layer::kEdge);
+  EXPECT_EQ(after, spares[0]);
+  EXPECT_EQ(fabric.device(after).layer, Layer::kEdge);
+  EXPECT_EQ(fabric.position_of_device(after), pos);
+  EXPECT_FALSE(fabric.position_of_device(before).has_value());
+  // The spare forwards on the pod's preloaded combined edge table, so
+  // the packet takes the very path the failed device gave it.
+  auto r = fwd.walk(src, dst);
+  ASSERT_TRUE(r.delivered);
+  EXPECT_EQ(r.path, baseline.path);
 }
 
 TEST(Impersonation, PoolExhaustionAndReturn) {
-  ImpersonationStore store(4, 1);
-  SwitchPosition a{Layer::kAgg, 0, 0};
-  SwitchPosition b{Layer::kAgg, 0, 1};
-  auto f1 = store.fail_over(a);
+  sharebackup::Fabric fabric(fabric_params(4, 1));
+  const SwitchPosition a{Layer::kAgg, 0, 0};
+  const SwitchPosition b{Layer::kAgg, 0, 1};
+  auto f1 = fabric.fail_over(a);
   ASSERT_TRUE(f1.has_value());
-  EXPECT_FALSE(store.fail_over(b).has_value());  // pool exhausted (n=1)
-  store.return_to_pool(f1->failed);
-  EXPECT_TRUE(store.fail_over(b).has_value());   // repaired device reused
+  EXPECT_FALSE(fabric.fail_over(b).has_value());  // pool exhausted (n=1)
+  fabric.return_to_pool(f1->failed_device);
+  auto f2 = fabric.fail_over(b);
+  ASSERT_TRUE(f2.has_value());  // repaired device reused
+  EXPECT_EQ(f2->replacement, f1->failed_device);
+  EXPECT_EQ(fabric.device_at(b), f1->failed_device);
+  fabric.check_invariants();
 }
 
 TEST(Impersonation, CoreGroupFailoverUsesOwnGroupSpares) {
-  const int k = 8;
-  ImpersonationStore store(k, 1);
+  sharebackup::Fabric fabric(fabric_params(8, 1));
   // Cores 1, 5, 9, 13 are group 1 (k/2 = 4).
-  auto spares_before = store.spares(Layer::kCore, 1);
+  auto spares_before = fabric.spares(Layer::kCore, 1);
   ASSERT_EQ(spares_before.size(), 1u);
-  auto f = store.fail_over({Layer::kCore, -1, 9});
+  auto f = fabric.fail_over({Layer::kCore, -1, 9});
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->replacement, spares_before[0]);
-  EXPECT_TRUE(store.spares(Layer::kCore, 1).empty());
-  EXPECT_EQ(store.spares(Layer::kCore, 0).size(), 1u);  // untouched
+  EXPECT_EQ(fabric.device_at({Layer::kCore, -1, 9}), spares_before[0]);
+  EXPECT_TRUE(fabric.spares(Layer::kCore, 1).empty());
+  EXPECT_EQ(fabric.spares(Layer::kCore, 0).size(), 1u);  // untouched
 }
 
 TEST(Impersonation, RandomizedFailoverChurnKeepsAllPairsDelivering) {
   const int k = 4;
   const int half = k / 2;
-  ImpersonationStore store(k, 2);
-  ForwardingSim sim(store);
-  sbk::Rng rng(2024);
+  sharebackup::Fabric fabric(fabric_params(k, 2));
+  const topo::FatTree& ft = fabric.fat_tree();
+  TableForwarding fwd(ft);
+  Rng rng(2024);
 
   std::vector<SwitchPosition> positions;
   for (int pod = 0; pod < k; ++pod) {
@@ -207,21 +245,80 @@ TEST(Impersonation, RandomizedFailoverChurnKeepsAllPairsDelivering) {
     positions.push_back({Layer::kCore, -1, c});
   }
 
-  std::vector<DeviceUid> replaced;
+  std::vector<sharebackup::DeviceUid> replaced;
   for (int round = 0; round < 40; ++round) {
     if (!replaced.empty() && rng.bernoulli(0.5)) {
       std::size_t i = rng.uniform_index(replaced.size());
-      store.return_to_pool(replaced[i]);
+      fabric.return_to_pool(replaced[i]);
       replaced.erase(replaced.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       auto pos = positions[rng.uniform_index(positions.size())];
-      if (auto f = store.fail_over(pos)) replaced.push_back(f->failed);
+      if (auto f = fabric.fail_over(pos)) replaced.push_back(f->failed_device);
     }
-    // Spot-check delivery across pods each round.
-    ForwardingTrace t = sim.walk(HostAddr{0, 0, 0}, HostAddr{3, 1, 1});
-    ASSERT_TRUE(t.delivered) << "round " << round;
-    ForwardingTrace u = sim.walk(HostAddr{2, 1, 0}, HostAddr{2, 0, 1});
-    ASSERT_TRUE(u.delivered) << "round " << round;
+    fabric.check_invariants();
+    // Spot-check delivery across pods and within one pod each round.
+    ASSERT_TRUE(fwd.walk(ft.host(0, 0, 0), ft.host(3, 1, 1)).delivered)
+        << "round " << round;
+    ASSERT_TRUE(fwd.walk(ft.host(2, 1, 0), ft.host(2, 0, 1)).delivered)
+        << "round " << round;
+  }
+}
+
+TEST(Impersonation, ForwardingInvariantUnderControllerChurn) {
+  // Controller-driven failovers and repairs in random order: after
+  // every step the walked paths are byte-for-byte the baseline ones.
+  const int k = 6;
+  sharebackup::Fabric fabric(fabric_params(k, 2));
+  control::Controller ctrl(fabric, control::ControllerConfig{});
+  const topo::FatTree& ft = fabric.fat_tree();
+  TableForwarding fwd(ft);
+
+  const std::vector<std::pair<net::NodeId, net::NodeId>> pairs = {
+      {ft.host(0, 0, 0), ft.host(5, 2, 1)},
+      {ft.host(3, 1, 2), ft.host(3, 2, 0)},
+      {ft.host(1, 0, 0), ft.host(4, 1, 1)}};
+  std::vector<net::Path> baseline;
+  for (auto [s, d] : pairs) {
+    auto r = fwd.walk(s, d);
+    ASSERT_TRUE(r.delivered);
+    baseline.push_back(r.path);
+  }
+
+  Rng rng(606);
+  std::vector<sharebackup::DeviceUid> out;
+  for (int step = 0; step < 60; ++step) {
+    ctrl.set_time(step * 10.0);
+    if (!out.empty() && rng.bernoulli(0.4)) {
+      ctrl.on_device_repaired(out.back());
+      out.pop_back();
+    } else {
+      SwitchPosition pos;
+      double layer = rng.uniform_real(0.0, 1.0);
+      if (layer < 0.4) {
+        pos = {Layer::kEdge, static_cast<int>(rng.uniform_index(k)),
+               static_cast<int>(rng.uniform_index(3))};
+      } else if (layer < 0.8) {
+        pos = {Layer::kAgg, static_cast<int>(rng.uniform_index(k)),
+               static_cast<int>(rng.uniform_index(3))};
+      } else {
+        pos = {Layer::kCore, -1, static_cast<int>(rng.uniform_index(9))};
+      }
+      net::NodeId node = fabric.node_at(pos);
+      if (fabric.network().node_failed(node)) continue;
+      fabric.network().fail_node(node);
+      auto o = ctrl.on_switch_failure(pos);
+      if (o.recovered) {
+        out.push_back(o.failovers[0].failed_device);
+      } else {
+        fabric.network().restore_node(node);
+      }
+    }
+    fabric.check_invariants();
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      auto r = fwd.walk(pairs[i].first, pairs[i].second);
+      ASSERT_TRUE(r.delivered) << "step " << step;
+      EXPECT_EQ(r.path, baseline[i]) << "step " << step;
+    }
   }
 }
 

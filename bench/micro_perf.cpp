@@ -527,10 +527,11 @@ BENCHMARK(BM_FluidSimEqualShare)->Arg(20)->Arg(60)->Unit(benchmark::kMillisecond
 
 void BM_FlightRecorderDisabled(benchmark::State& state) {
   // The flight recorder's disabled-mode contract: a simulation with a
-  // disabled recorder and sampler ATTACHED must run at the speed of one
-  // that never heard of them (every hook is a single branch). This is
-  // the same workload as BM_FluidSimCoflowTrace(60); bench.sh asserts
-  // the two stay within the regression tolerance of each other.
+  // disabled recorder and a sampler over it ATTACHED must run at the
+  // speed of one that never heard of them (every hook is a single
+  // branch). This is the same workload as BM_FluidSimCoflowTrace(60);
+  // bench.sh asserts the two stay within the regression tolerance of
+  // each other.
   const auto coflows = static_cast<std::size_t>(state.range(0));
   topo::FatTreeParams ftp{.k = 8};
   ftp.hosts_per_edge = 1;
@@ -545,7 +546,7 @@ void BM_FlightRecorderDisabled(benchmark::State& state) {
   const auto flows =
       workload::expand_to_flows(ft, workload::generate_coflows(wp, rng));
   obs::FlightRecorder recorder(/*enabled=*/false);
-  obs::TelemetrySampler sampler(0.01, /*enabled=*/false);
+  obs::TelemetrySampler sampler(recorder, 0.01);
   for (auto _ : state) {
     sim::FluidSimulator simulator(ft.network(), router, sim::SimConfig{});
     simulator.attach_recorder(&recorder);

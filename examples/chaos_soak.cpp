@@ -4,7 +4,7 @@
 // gate on it.
 //
 //   chaos_soak [scenarios] [master_seed] [k] [backups] [threads]
-//              [--trace=out.json] [--telemetry=out.csv]
+//              [--trace=out.json] [--slo] [--health=out.json]
 //
 // Defaults: 200 scenarios, seed 1, k=4 fat-tree, 1 backup per group,
 // auto threads. A failing seed reproduces exactly with
@@ -12,8 +12,9 @@
 //
 // --trace records a flight-recorder trace of every scenario (one
 // Perfetto track per scenario index) viewable in chrome://tracing or
-// ui.perfetto.dev, and implies per-scenario telemetry sampling;
-// --telemetry additionally writes the merged time-series CSV.
+// ui.perfetto.dev. Each track also carries the scenario's telemetry:
+// six probe series sampled every 10 ms as "telemetry" counters, which
+// `sbk_trace incidents` windows around each recovery incident.
 //
 // --slo evaluates a recovery-latency SLO per scenario (paper target:
 // sub-millisecond recovery) with burn-rate alerting, prints the merged
@@ -38,8 +39,8 @@ int usage(const std::string& error) {
   std::fprintf(stderr,
                "usage: chaos_soak [scenarios] [master_seed] [k] [backups]"
                " [threads]\n"
-               "                  [--trace=out.json] [--telemetry=out.csv]\n"
-               "                  [--slo] [--health=out.json]\n");
+               "                  [--trace=out.json] [--slo]"
+               " [--health=out.json]\n");
   return 2;
 }
 
@@ -48,14 +49,12 @@ int usage(const std::string& error) {
 int main(int argc, char** argv) {
   const sbk::cli::ParseResult args = sbk::cli::parse_args(
       argc, argv,
-      {{"trace", true}, {"telemetry", true}, {"slo", false},
-       {"health", true}},
+      {{"trace", true}, {"slo", false}, {"health", true}},
       /*max_positional=*/5);
   if (!args.ok()) return usage(args.error);
 
   sbk::faultinject::ChaosSoakConfig cfg;
   const std::string trace_path = args.value_of("trace").value_or("");
-  const std::string telemetry_path = args.value_of("telemetry").value_or("");
   const bool slo = args.has("slo") || args.has("health");
   const std::string health_path = args.value_of("health").value_or("");
   auto arg = [&args](std::size_t i, long long fallback,
@@ -80,22 +79,16 @@ int main(int argc, char** argv) {
   std::cout << "running " << cfg.scenarios << " chaos scenarios (seed "
             << cfg.master_seed << ", k=" << cfg.k << ", n="
             << cfg.backups_per_group << ")...\n";
-  // --trace implies per-scenario telemetry sampling and vice versa. The
-  // merged recorder is big enough to keep every scenario's events (the
-  // per-scenario rings already bound each contribution); its storage is
-  // reserved only on the first merged event.
-  const bool traced = !trace_path.empty() || !telemetry_path.empty();
+  // The merged recorder is big enough to keep every scenario's events
+  // (the per-scenario rings already bound each contribution); its
+  // storage is reserved only on the first merged event.
   sbk::obs::FlightRecorder trace(
       /*enabled=*/true, sbk::obs::FlightRecorder::kDefaultCapacity *
                             std::max<std::size_t>(cfg.scenarios, 1));
-  sbk::obs::TelemetryTable telemetry;
-  sbk::obs::slo::SloMonitor monitor = sbk::faultinject::make_chaos_slo(cfg);
+  sbk::obs::slo::SloMonitor monitor = sbk::faultinject::make_chaos_slo();
   sbk::obs::slo::HealthLog health;
   sbk::sweep::ObservedSinks sinks;
-  if (traced) {
-    sinks.trace = &trace;
-    sinks.telemetry = &telemetry;
-  }
+  if (!trace_path.empty()) sinks.trace = &trace;
   if (slo) {
     sinks.slo = &monitor;
     sinks.health = &health;
@@ -113,23 +106,14 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << trace.events().size() << " trace events to "
               << trace_path << " (load in chrome://tracing)\n";
   }
-  if (!telemetry_path.empty()) {
-    std::ofstream out(telemetry_path);
-    telemetry.write_csv(out);
-    if (!out.good()) {
-      std::cerr << "failed to write telemetry to " << telemetry_path << "\n";
-      return 2;
-    }
-    std::cout << "wrote " << telemetry.rows() << " telemetry rows to "
-              << telemetry_path << "\n";
-  }
   if (slo) {
     // The objective's quantile is the one its error budget implies: a
     // 5% budget lets 5% of recoveries exceed the bound, a p95 objective.
+    namespace fi = sbk::faultinject;
     std::cout << "slo: recovery_latency p"
-              << 100.0 * (1.0 - cfg.obs.recovery_budget) << " < "
-              << cfg.obs.recovery_latency_bound * 1e3 << " ms-equivalent"
-              << " (budget " << cfg.obs.recovery_budget << "): attainment "
+              << 100.0 * (1.0 - fi::kRecoveryBudget) << " < "
+              << fi::kRecoveryLatencyBound * 1e3 << " ms-equivalent"
+              << " (budget " << fi::kRecoveryBudget << "): attainment "
               << monitor.attainment(0) << " over "
               << monitor.good_total(0) + monitor.bad_total(0)
               << " recoveries, " << monitor.breach_count(0) << " breaches, "

@@ -57,12 +57,6 @@ int main(int argc, char** argv) {
     fabric.attach_recorder(&recorder);
   }
 
-  auto link_element = [&](net::LinkId lid) {
-    const net::Link& l = fabric.network().link(lid);
-    return obs::element_for_link(fabric.network().node(l.a).name,
-                                 fabric.network().node(l.b).name);
-  };
-
   std::printf("=== ShareBackup failure drill (k=6, n=2) ===\n\n");
 
   // Wire detection into the controller, gated on cluster availability.
@@ -96,9 +90,8 @@ int main(int argc, char** argv) {
   say("Act 1 — a core switch dies (keep-alive detection).");
   net::NodeId core = fabric.fat_tree().core(4);
   queue.schedule_at(0.010, [&] {
-    tracer.note_injection(
-        obs::element_for_node(fabric.network().node(core).name),
-        queue.now());
+    tracer.note_injection(control::element_name(fabric.network(), core),
+                          queue.now());
     fabric.network().fail_node(core);
   });
 
@@ -109,7 +102,8 @@ int main(int argc, char** argv) {
   net::NodeId agg = fabric.fat_tree().agg(1, 2);
   net::LinkId link = *fabric.network().find_link(edge, agg);
   queue.schedule_at(0.100, [&] {
-    tracer.note_injection(link_element(link), queue.now());
+    tracer.note_injection(control::element_name(fabric.network(), link),
+                          queue.now());
     fabric.ground_link_failure(link, edge);
   });
 
@@ -118,7 +112,8 @@ int main(int argc, char** argv) {
   net::NodeId host = fabric.fat_tree().host(3, 1, 2);
   net::LinkId host_link = fabric.fat_tree().host_link(host);
   queue.schedule_at(0.200, [&] {
-    tracer.note_injection(link_element(host_link), queue.now());
+    tracer.note_injection(control::element_name(fabric.network(), host_link),
+                          queue.now());
     fabric.ground_link_failure(host_link, host);
   });
 
@@ -216,8 +211,8 @@ int main(int argc, char** argv) {
   control::LatencyBreakdown model =
       control::sharebackup_latency(model_params, fabric.technology());
   const obs::RecoveryIncident* core_inc = nullptr;
-  std::string core_elem =
-      obs::element_for_node(fabric.network().node(core).name);
+  const std::string core_elem =
+      control::element_name(fabric.network(), core);
   for (const auto& inc : tracer.incidents()) {
     if (inc.element == core_elem) core_inc = &inc;
   }

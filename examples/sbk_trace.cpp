@@ -2,7 +2,7 @@
 //
 //   sbk_trace summary   trace.json [--top=N]
 //   sbk_trace service   trace.json
-//   sbk_trace incidents trace.json [--telemetry=t.csv] [--window=seconds]
+//   sbk_trace incidents trace.json [--window=seconds]
 //   sbk_trace slo       trace.json
 //   sbk_trace check     trace.json [--timeline=timeline.csv]
 //
@@ -18,8 +18,8 @@
 //
 // `incidents` reconstructs recovery incidents from the "recovery" spans
 // (exported from a RecoveryTracer) and prints each incident's stage
-// timeline; with --telemetry it also prints how each telemetry series
-// moved in a window around the incident — the paper's
+// timeline, then how each "telemetry" counter series on the incident's
+// own track moved in a window around it — the paper's
 // utilization-dips-then-restores picture, per incident.
 //
 // `slo` digests the "slo" category an SloMonitor records: the burn-rate
@@ -59,7 +59,6 @@ namespace {
 struct Options {
   std::string command;
   std::string trace_path;
-  std::string telemetry_path;
   std::string timeline_path;
   std::size_t top = 10;
   double window = 0.05;
@@ -70,8 +69,7 @@ int usage(const std::string& error = "") {
   std::fprintf(stderr,
                "usage: sbk_trace summary   <trace.json> [--top=N]\n"
                "       sbk_trace service   <trace.json>\n"
-               "       sbk_trace incidents <trace.json> [--telemetry=t.csv]"
-               " [--window=seconds]\n"
+               "       sbk_trace incidents <trace.json> [--window=seconds]\n"
                "       sbk_trace slo       <trace.json>\n"
                "       sbk_trace check     <trace.json>"
                " [--timeline=timeline.csv]\n");
@@ -316,50 +314,36 @@ std::vector<Incident> collect_incidents(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-struct Telemetry {
-  std::vector<std::string> series;          ///< column names after time
-  std::vector<std::size_t> scenario;
-  std::vector<double> time;
-  std::vector<std::vector<double>> columns;  ///< per series
+/// One sampled series of a track: a "telemetry" counter name, with its
+/// samples in time order.
+struct Series {
+  std::string name;
+  std::vector<const TraceEvent*> samples;
 };
 
-Telemetry load_telemetry(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  Telemetry t;
-  std::string line;
-  if (!std::getline(in, line)) throw std::runtime_error("empty telemetry CSV");
-  std::vector<std::string> header = sbk::obs::split_csv_line(line);
-  if (header.size() < 3 || header[0] != "scenario" || header[1] != "time") {
-    throw std::runtime_error("not a merged telemetry CSV (want "
-                             "scenario,time,<series...>)");
-  }
-  t.series.assign(header.begin() + 2, header.end());
-  t.columns.resize(t.series.size());
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> f = sbk::obs::split_csv_line(line);
-    if (f.size() != header.size()) {
-      throw std::runtime_error("ragged telemetry CSV row");
+/// The "telemetry" counter series of each track, in the order each name
+/// first appears there (the sampler's registration order).
+std::map<std::uint32_t, std::vector<Series>> collect_telemetry(
+    const std::vector<TraceEvent>& events) {
+  std::map<std::uint32_t, std::vector<Series>> by_track;
+  for (const TraceEvent& e : events) {
+    if (e.phase != TracePhase::kCounter || e.category != "telemetry") {
+      continue;
     }
-    t.scenario.push_back(static_cast<std::size_t>(std::stoull(f[0])));
-    t.time.push_back(std::stod(f[1]));
-    for (std::size_t c = 0; c < t.series.size(); ++c) {
-      t.columns[c].push_back(std::stod(f[c + 2]));
-    }
+    std::vector<Series>& track = by_track[e.track];
+    auto it = std::find_if(track.begin(), track.end(),
+                           [&e](const Series& s) { return s.name == e.name; });
+    if (it == track.end()) it = track.insert(track.end(), Series{e.name, {}});
+    it->samples.push_back(&e);
   }
-  return t;
+  return by_track;
 }
 
 int cmd_incidents(const Options& opt) {
   std::vector<TraceEvent> events = load(opt.trace_path);
   std::vector<Incident> incidents = collect_incidents(events);
-  Telemetry telemetry;
-  bool have_telemetry = false;
-  if (!opt.telemetry_path.empty()) {
-    telemetry = load_telemetry(opt.telemetry_path);
-    have_telemetry = true;
-  }
+  const std::map<std::uint32_t, std::vector<Series>> telemetry =
+      collect_telemetry(events);
   std::printf("%zu recovery incident(s)\n", incidents.size());
   for (const Incident& inc : incidents) {
     if (inc.recovered >= 0.0) {
@@ -374,19 +358,18 @@ int cmd_incidents(const Options& opt) {
       std::printf("    %-20s %.6fs  +%.3f ms\n", s->name.c_str(), s->ts,
                   s->dur * 1e3);
     }
-    if (!have_telemetry) continue;
-    // Telemetry window around the incident: the track is the scenario
-    // index, so the two outputs of one traced sweep line up directly.
+    const auto track = telemetry.find(inc.track);
+    if (track == telemetry.end()) continue;
+    // Telemetry window around the incident, from the same track.
     const double lo = inc.injected - opt.window;
     const double hi =
         (inc.recovered >= 0.0 ? inc.recovered : inc.injected) + opt.window;
-    for (std::size_t c = 0; c < telemetry.series.size(); ++c) {
+    for (const Series& series : track->second) {
       double mn = 0.0, mx = 0.0, first = 0.0, last = 0.0;
       std::size_t n = 0;
-      for (std::size_t r = 0; r < telemetry.time.size(); ++r) {
-        if (telemetry.scenario[r] != inc.track) continue;
-        if (telemetry.time[r] < lo || telemetry.time[r] > hi) continue;
-        const double v = telemetry.columns[c][r];
+      for (const TraceEvent* e : series.samples) {
+        if (e->ts < lo || e->ts > hi) continue;
+        const double v = e->value;
         if (n == 0) { mn = mx = first = v; }
         mn = std::min(mn, v);
         mx = std::max(mx, v);
@@ -396,8 +379,8 @@ int cmd_incidents(const Options& opt) {
       if (n == 0) continue;
       std::printf("    ~ %-28s %zu samples in +/-%.0fms window: "
                   "first %.4f  min %.4f  max %.4f  last %.4f\n",
-                  telemetry.series[c].c_str(), n, opt.window * 1e3, first,
-                  mn, mx, last);
+                  series.name.c_str(), n, opt.window * 1e3, first, mn, mx,
+                  last);
     }
   }
   return 0;
@@ -586,13 +569,11 @@ int cmd_check(const Options& opt) {
 int main(int argc, char** argv) {
   const sbk::cli::ParseResult args = sbk::cli::parse_args(
       argc, argv,
-      {{"telemetry", true}, {"timeline", true}, {"top", true},
-       {"window", true}},
+      {{"timeline", true}, {"top", true}, {"window", true}},
       /*max_positional=*/2);
   if (!args.ok()) return usage(args.error);
 
   Options opt;
-  opt.telemetry_path = args.value_of("telemetry").value_or("");
   opt.timeline_path = args.value_of("timeline").value_or("");
   if (auto top = args.value_of("top")) {
     const auto n = sbk::cli::parse_int(*top);

@@ -483,7 +483,7 @@ int main(int argc, char** argv) {
             open = breach;
             continue;
           }
-          if (at > t + scfg.slo.window) break;
+          if (at > t + svc::ControllerService::kSloWindow) break;
           if (breach) detected = true;
         }
         if (!open && !detected) slo_detect_ok = false;

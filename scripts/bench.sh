@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Perf-regression harness: build the Release tree, run the micro_perf
-# google-benchmark suite with JSON output, write BENCH_micro.json at the
-# repo root, and compare it against the baseline committed at HEAD.
+# google-benchmark suite with JSON output into
+# <build-dir>/BENCH_micro.json, and compare it against the
+# BENCH_micro.json baseline committed at HEAD. A gate run leaves the
+# committed baseline untouched, whatever its gates decide.
 #
 # Usage: scripts/bench.sh [--no-compare] [build-dir]
 #
-#   --no-compare   Just refresh BENCH_micro.json; skip the baseline diff
-#                  (use when intentionally re-baselining: run, inspect,
-#                  then commit the new BENCH_micro.json).
+#   --no-compare   Re-baseline: skip the baseline diff and copy the fresh
+#                  run over BENCH_micro.json at the repo root (run,
+#                  inspect, then commit the new BENCH_micro.json). The
+#                  overhead and footprint gates still run.
 #
 # Environment:
 #   BENCH_TOLERANCE   Allowed fractional slowdown before a benchmark is
@@ -32,11 +35,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-COMPARE=1
+REBASELINE=0
 if [ "${1:-}" = "--no-compare" ]; then
-  COMPARE=0
+  REBASELINE=1
   shift
 fi
+COMPARE=$((1 - REBASELINE))
 
 BUILD="${1:-build-bench}"
 TOL="${BENCH_TOLERANCE:-0.30}"
@@ -45,15 +49,17 @@ MIN_TIME="${BENCH_MIN_TIME:-0.1}"
 cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD" --target micro_perf
 
+FRESH="$BUILD/BENCH_micro.json"
+BASE="$BUILD/BENCH_micro.base.json"
 "$BUILD"/bench/micro_perf \
   --benchmark_format=json \
   --benchmark_min_time="$MIN_TIME" \
-  >BENCH_micro.json.new
+  >"$FRESH"
 
 # Stamp the recording with the build tree's actual CMAKE_BUILD_TYPE so
 # the debug-baseline rejection below can trust future baselines.
 BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD/CMakeCache.txt")
-python3 - "$BUILD_TYPE" BENCH_micro.json.new <<'EOF'
+python3 - "$BUILD_TYPE" "$FRESH" <<'EOF'
 import json, sys
 path = sys.argv[2]
 with open(path) as f:
@@ -65,10 +71,9 @@ with open(path, "w") as f:
 EOF
 
 if [ "$COMPARE" = 1 ]; then
-  if ! git show HEAD:BENCH_micro.json >BENCH_micro.json.base 2>/dev/null; then
+  if ! git show HEAD:BENCH_micro.json >"$BASE" 2>/dev/null; then
     echo "bench.sh: no committed BENCH_micro.json baseline at HEAD;" \
          "skipping comparison" >&2
-    rm -f BENCH_micro.json.base
     COMPARE=0
   fi
 fi
@@ -78,21 +83,20 @@ if [ "$COMPARE" = 1 ]; then
 ctx = json.load(open(sys.argv[1])).get("context", {})
 print(ctx.get("sbk_build_type",
               ctx.get("library_build_type", "unknown")).lower())' \
-    BENCH_micro.json.base)
+    "$BASE")
   if [ "$BASE_BUILD_TYPE" = "debug" ]; then
     echo "bench.sh: *** WARNING *** committed BENCH_micro.json was" \
          "recorded from a DEBUG build; its timings are not comparable" \
          "to this Release run. Skipping the regression gate." \
          "Re-baseline with scripts/bench.sh --no-compare and commit the" \
          "refreshed BENCH_micro.json." >&2
-    rm -f BENCH_micro.json.base
     COMPARE=0
   fi
 fi
 
 STATUS=0
 if [ "$COMPARE" = 1 ]; then
-  python3 - "$TOL" BENCH_micro.json.base BENCH_micro.json.new <<'EOF' || STATUS=$?
+  python3 - "$TOL" "$BASE" "$FRESH" <<'EOF' || STATUS=$?
 import json, sys
 
 tol = float(sys.argv[1])
@@ -128,14 +132,13 @@ if regressions:
     sys.exit(1)
 print("bench.sh: no regressions beyond tolerance")
 EOF
-  rm -f BENCH_micro.json.base
 fi
 
 # Disabled-observability overhead gate: the same fluid-sim workload with
 # a disabled recorder and sampler attached must stay within the
 # regression tolerance of the untouched run (the hooks are supposed to
 # cost one branch each).
-python3 - "$TOL" BENCH_micro.json.new <<'EOF' || STATUS=$?
+python3 - "$TOL" "$FRESH" <<'EOF' || STATUS=$?
 import json, sys
 
 tol = float(sys.argv[1])
@@ -161,7 +164,7 @@ EOF
 # within the regression tolerance of the engine-off run. A disabled
 # engine costs one branch per message (the flight-recorder gate style),
 # so the engine-off run doubles as the zero-overhead reference.
-python3 - "$TOL" BENCH_micro.json.new <<'EOF' || STATUS=$?
+python3 - "$TOL" "$FRESH" <<'EOF' || STATUS=$?
 import json, sys
 
 tol = float(sys.argv[1])
@@ -192,5 +195,8 @@ if ! "$BUILD"/examples/scale_smoke 48 --storm-pods=48 --per-pod=64 \
   STATUS=1
 fi
 
-mv BENCH_micro.json.new BENCH_micro.json
+if [ "$REBASELINE" = 1 ]; then
+  cp "$FRESH" BENCH_micro.json
+  echo "bench.sh: re-baselined BENCH_micro.json from $FRESH"
+fi
 exit "$STATUS"

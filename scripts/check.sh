@@ -16,8 +16,9 @@
 #                  build-asan) and run the fault-injection, control-plane,
 #                  simulator, detector, routing, baselines, fabric,
 #                  leaf-spine, circuit-switch, two-level-table, table-walk,
-#                  service, incremental max-min and property suites under
-#                  it — the chaos paths exercise the allocation-heavy
+#                  service, incremental max-min, property, observability
+#                  and trace suites under it — the chaos paths exercise
+#                  the allocation-heavy
 #                  recovery machinery that ASan watches best, the event
 #                  queue indexes its slot arena through a free list, the
 #                  fluid simulator swap-erases per-slot flow lists and
@@ -28,8 +29,10 @@
 #                  fabrics run the shared device pool's fail-over and
 #                  pool return under the §4.3 table walker, the fabric
 #                  grounds link faults and lists the switch devices the
-#                  repair crew walks, and the service dispatch path
-#                  drives both.
+#                  repair crew walks, the service dispatch path
+#                  drives both, and the observability and trace suites
+#                  drive the telemetry sampler, the recorder's ring and
+#                  scenario-ordered merge, and the observed chaos soak.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -37,11 +40,13 @@
 #   --chaos-smoke  Build examples/chaos_soak and run a fixed-seed 50-
 #                  scenario soak (deterministic, ~1 s); exits non-zero on
 #                  any invariant violation. Then a 20-scenario soak with
-#                  every observer at once (--slo --health --trace
-#                  --telemetry): its SLO line must name the p95 objective
-#                  that the default 5% error budget implies, its trace
-#                  must pass the Perfetto schema check and its health log
-#                  must hold one snapshot per scenario.
+#                  every observer at once (--slo --health --trace): its
+#                  SLO line must name the p95 objective that the default
+#                  5% error budget implies, its trace must pass the
+#                  Perfetto schema check, every scenario track of the
+#                  trace must carry "telemetry" counters for all six
+#                  chaos probes, and its health log must hold one
+#                  snapshot per scenario.
 #   --baselines-smoke
 #                  Build examples/baseline_matrix and race all five
 #                  protection strategies (ShareBackup, F10, ECMP+global
@@ -408,11 +413,32 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   # Every observer on one soak: they combine, and each output is whole.
   "$BUILD"/examples/chaos_soak 20 1 --slo \
     --health="$BUILD/chaos_health.json" --trace="$BUILD/chaos_trace.json" \
-    --telemetry="$BUILD/chaos_telemetry.csv" | tee "$BUILD/chaos_observed.txt"
+    | tee "$BUILD/chaos_observed.txt"
   grep -q "^slo: recovery_latency p95 < " "$BUILD/chaos_observed.txt" \
     || { echo "chaos-smoke: slo line does not name the p95 objective" >&2
          exit 1; }
   check_trace_schema "$BUILD/chaos_trace.json" chaos-smoke
+  python3 - "$BUILD/chaos_trace.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+probes = {"queue.pending", "fabric.spare_pool", "net.live_link_frac",
+          "controller.pending_diagnosis", "controller.pending_recoveries",
+          "plane.reports_buffered"}
+series = {}
+for e in events:
+    if e["cat"] == "telemetry":
+        assert e["ph"] == "C", f"telemetry event is not a counter: {e}"
+        series.setdefault(e["pid"], set()).add(e["name"])
+tracks = sorted({e["pid"] for e in events})
+assert tracks == list(range(20)), f"want one track per scenario: {tracks}"
+for track in tracks:
+    assert series.get(track) == probes, \
+        f"track {track} telemetry series: {sorted(series.get(track, ()))}"
+print(f"chaos-smoke: {len(tracks)} tracks carry all {len(probes)}"
+      " telemetry series")
+EOF
   python3 - "$BUILD/chaos_health.json" <<'EOF'
 import json, sys
 
@@ -432,7 +458,7 @@ if [ "$ASAN" = 1 ]; then
     sim_test control_test routing_test baselines_test fabric_test \
     leaf_spine_test circuit_switch_test two_level_test \
     table_forwarding_test service_test incremental_max_min_test \
-    property_test
+    property_test obs_test trace_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/sim_test
@@ -447,11 +473,13 @@ if [ "$ASAN" = 1 ]; then
   "$BUILD"/tests/service_test
   "$BUILD"/tests/incremental_max_min_test
   "$BUILD"/tests/property_test
+  "$BUILD"/tests/obs_test
+  "$BUILD"/tests/trace_test
   echo "asan: faultinject_test + control_plane_test + sim_test +" \
     "control_test + routing_test + baselines_test + fabric_test +" \
     "leaf_spine_test + circuit_switch_test + two_level_test +" \
     "table_forwarding_test + service_test + incremental_max_min_test +" \
-    "property_test clean"
+    "property_test + obs_test + trace_test clean"
   exit 0
 fi
 

@@ -44,12 +44,14 @@ void Controller::attach_metrics(obs::MetricsRegistry* metrics) {
   m_degraded_latency_ = &metrics->latency("controller.degraded_latency");
 }
 
-std::size_t Controller::trace_recovery(const std::string& element,
+std::size_t Controller::trace_recovery(ReportedElement element,
                                        Seconds command_penalty) {
   if (tracer_ == nullptr || !tracer_->enabled()) {
     return obs::RecoveryTracer::kNoIncident;
   }
-  std::size_t inc = tracer_->ensure_incident(element, now_);
+  std::size_t inc =
+      tracer_->ensure_incident(element_name(fabric_->network(), element),
+                               now_);
   Seconds report_done = now_ + config_.report_latency;
   tracer_->add_span(inc, "notification", now_, report_done);
   Seconds decided = report_done + config_.processing_latency;
@@ -181,7 +183,7 @@ void Controller::count_failed_recovery(bool pool_exhausted) {
   }
 }
 
-void Controller::degrade(RecoveryOutcome& outcome, const std::string& element,
+void Controller::degrade(RecoveryOutcome& outcome, ReportedElement element,
                          const char* cause) {
   ++stats_.degraded_reroutes;
   if (m_degraded_) m_degraded_->add();
@@ -192,14 +194,15 @@ void Controller::degrade(RecoveryOutcome& outcome, const std::string& element,
     m_degraded_latency_->record(outcome.degraded_latency);
   }
   outcome.detail = std::string(cause) + "; degraded to global reroute";
-  audit("degraded", element + ": " + cause);
+  const std::string name = element_name(fabric_->network(), element);
+  audit("degraded", name + ": " + cause);
   if (recorder_ != nullptr) {
-    recorder_->instant("control", "degraded", now_, element);
+    recorder_->instant("control", "degraded", now_, name);
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
     // The incident stays open: the element is routed around, not
     // recovered; a later hardware re-attempt closes it.
-    std::size_t inc = tracer_->ensure_incident(element, now_);
+    std::size_t inc = tracer_->ensure_incident(name, now_);
     tracer_->add_span(inc, "degraded_reroute", now_,
                       now_ + outcome.degraded_latency);
   }
@@ -337,19 +340,18 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
   // Stale-report guard: keep-alives race recovery, so a report may
   // arrive for a position that is already served by healthy hardware.
   // A second failover would burn a backup for nothing.
-  if (!fabric_->network().node_failed(fabric_->node_at(pos))) {
+  const net::NodeId node = fabric_->node_at(pos);
+  if (!fabric_->network().node_failed(node)) {
     outcome.recovered = true;
     outcome.detail = "stale report: position already healthy";
     return outcome;
   }
-  std::string element = obs::element_for_node(
-      fabric_->network().node(fabric_->node_at(pos)).name);
   CommandOutcome co = execute_failover(pos);
   account_command(co, outcome);
   if (!co.report.has_value()) {
     count_failed_recovery(co.pool_exhausted);
     park_node(pos);
-    degrade(outcome, element,
+    degrade(outcome, node,
             co.pool_exhausted ? "backup pool exhausted for failure group"
                               : "reconfiguration command retries exhausted");
     return outcome;
@@ -362,7 +364,7 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
   outcome.control_latency = control_path_latency() + co.retry_penalty;
   outcome.detail = "switch replaced by backup";
   if (m_control_latency_) m_control_latency_->record(outcome.control_latency);
-  trace_recovery(element, co.retry_penalty);
+  trace_recovery(node, co.retry_penalty);
   return outcome;
 }
 
@@ -413,8 +415,6 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
 
   std::optional<SwitchPosition> pos_a = fabric_->position_of_node(l.a);
   std::optional<SwitchPosition> pos_b = fabric_->position_of_node(l.b);
-  std::string element =
-      obs::element_for_link(net.node(l.a).name, net.node(l.b).name);
 
   // Re-probe before acting: an earlier recovery may already have fixed
   // this link — e.g. one sick switch rooting several simultaneous link
@@ -443,7 +443,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     if (m_control_latency_) {
       m_control_latency_->record(outcome.control_latency);
     }
-    trace_recovery(element);
+    trace_recovery(link);
     return outcome;
   }
 
@@ -467,7 +467,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
         if (c->report.has_value()) count_failover(*c->report, outcome);
       }
       park_link(link);
-      degrade(outcome, element,
+      degrade(outcome, link,
               pool ? "backup pool exhausted; link not recovered"
                    : "reconfiguration command retries exhausted");
       return outcome;
@@ -488,7 +488,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     }
     diagnosis_queue_.push_back(PendingDiagnosis{
         dev_a, dev_b, cs,
-        trace_recovery(element, ca.retry_penalty + cb.retry_penalty),
+        trace_recovery(link, ca.retry_penalty + cb.retry_penalty),
         now_});
     return outcome;
   }
@@ -507,7 +507,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
   if (!ch.report.has_value()) {
     count_failed_recovery(ch.pool_exhausted);
     park_link(link);
-    degrade(outcome, element,
+    degrade(outcome, link,
             ch.pool_exhausted
                 ? "backup pool exhausted; host link not recovered"
                 : "reconfiguration command retries exhausted");
@@ -532,7 +532,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     // offline against backups (not against the host).
     diagnosis_queue_.push_back(PendingDiagnosis{
         old_dev, sharebackup::kNoDeviceUid, cs,
-        trace_recovery(element, ch.retry_penalty), now_});
+        trace_recovery(link, ch.retry_penalty), now_});
   } else {
     // Failure persists: the switch was not the problem. Redress it and
     // flag the host for troubleshooting (§4.2).

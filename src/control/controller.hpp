@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "control/diagnosis.hpp"
+#include "control/failure_detector.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recovery_tracer.hpp"
@@ -323,7 +324,7 @@ class Controller {
   void count_failed_recovery(bool pool_exhausted);
   /// Marks an unrecoverable failure as degraded to the global-reroute
   /// path (latency model, counters, tracer span, audit).
-  void degrade(RecoveryOutcome& outcome, const std::string& element,
+  void degrade(RecoveryOutcome& outcome, ReportedElement element,
                const char* cause);
   [[nodiscard]] Seconds degraded_reroute_latency() const;
 
@@ -334,9 +335,9 @@ class Controller {
   /// `element` starting at now_ and closes the incident at the
   /// reconfiguration end. `command_penalty` stretches the command span
   /// by the retry penalty actually paid. Returns the incident
-  /// (kNoIncident when no tracer is attached) so background work can
-  /// append to it.
-  std::size_t trace_recovery(const std::string& element,
+  /// (kNoIncident when no tracer is attached, in which case the element
+  /// is never named) so background work can append to it.
+  std::size_t trace_recovery(ReportedElement element,
                              Seconds command_penalty = 0.0);
 
   void park_node(sharebackup::SwitchPosition pos);

@@ -4,6 +4,14 @@
 
 namespace sbk::control {
 
+std::string element_name(const net::Network& net, ReportedElement element) {
+  if (const auto* node = std::get_if<net::NodeId>(&element)) {
+    return obs::element_for_node(net.node(*node).name);
+  }
+  const net::Link& l = net.link(std::get<net::LinkId>(element));
+  return obs::element_for_link(net.node(l.a).name, net.node(l.b).name);
+}
+
 FailureDetector::FailureDetector(sim::EventQueue& queue,
                                  const net::Network& net,
                                  DetectorConfig config)
@@ -41,11 +49,12 @@ void FailureDetector::attach_metrics(obs::MetricsRegistry* metrics) {
   m_link_reports_ = &metrics->counter("detector.link_failures_reported");
 }
 
-void FailureDetector::trace_detection(const std::string& element,
+void FailureDetector::trace_detection(ReportedElement element,
                                       Seconds first_miss,
                                       Seconds detected_at) {
   if (tracer_ == nullptr || !tracer_->enabled()) return;
-  std::size_t inc = tracer_->ensure_incident(element, first_miss);
+  std::size_t inc =
+      tracer_->ensure_incident(element_name(*net_, element), first_miss);
   // Anchor at the injection time when the injector announced itself (it
   // precedes the first miss); otherwise the miss streak is the best
   // observable start of the detection window.
@@ -103,8 +112,7 @@ void FailureDetector::probe_node(net::NodeId node) {
       w.last_report = queue_->now();
       if (m_node_reports_) m_node_reports_->add();
       if (first_report) {
-        trace_detection(obs::element_for_node(net_->node(node).name),
-                        w.first_miss, queue_->now());
+        trace_detection(node, w.first_miss, queue_->now());
       }
       if (node_cb_) node_cb_(node, queue_->now());
     }
@@ -141,9 +149,7 @@ void FailureDetector::probe_link(net::LinkId link) {
       w.last_report = queue_->now();
       if (m_link_reports_) m_link_reports_->add();
       if (first_report) {
-        trace_detection(obs::element_for_link(net_->node(l.a).name,
-                                              net_->node(l.b).name),
-                        w.first_miss, queue_->now());
+        trace_detection(link, w.first_miss, queue_->now());
       }
       if (link_cb_) link_cb_(link, queue_->now());
     }

@@ -22,6 +22,8 @@
 #pragma once
 
 #include <functional>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -32,6 +34,16 @@
 #include "util/time.hpp"
 
 namespace sbk::control {
+
+/// The element a failure report is about: a node or a link.
+using ReportedElement = std::variant<net::NodeId, net::LinkId>;
+
+/// The element's RecoveryTracer and audit-log name
+/// (obs::element_for_node, or obs::element_for_link over the endpoint
+/// names). Naming costs string work, so callers name an element only
+/// where a record needs the name.
+[[nodiscard]] std::string element_name(const net::Network& net,
+                                       ReportedElement element);
 
 struct DetectorConfig {
   Seconds probe_interval = milliseconds(1);
@@ -102,7 +114,9 @@ class FailureDetector {
 
   void probe_node(net::NodeId node);
   void probe_link(net::LinkId link);
-  void trace_detection(const std::string& element, Seconds first_miss,
+  /// Opens the element's incident with its detection span; names the
+  /// element only when a tracer is attached.
+  void trace_detection(ReportedElement element, Seconds first_miss,
                        Seconds detected_at);
 
   sim::EventQueue* queue_;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <sstream>
 
 #include "control/control_plane.hpp"
 #include "net/path.hpp"
 #include "obs/recovery_tracer.hpp"
 #include "obs/slo/log_histogram.hpp"
+#include "obs/timeseries.hpp"
 #include "routing/backup_rules.hpp"
 #include "routing/global_reroute.hpp"
 #include "routing/spider.hpp"
@@ -82,7 +84,6 @@ ChaosScenarioResult run_chaos_scenario(
     const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec,
     const sweep::ScenarioObservers& observers) {
   obs::FlightRecorder* recorder = observers.recorder;
-  obs::TelemetrySampler* sampler = observers.sampler;
   obs::slo::SloMonitor* slo = observers.slo;
   SBK_EXPECTS_MSG(observers.health == nullptr || slo != nullptr,
                   "a chaos health log requires an SLO monitor");
@@ -108,7 +109,11 @@ ChaosScenarioResult run_chaos_scenario(
     fabric.attach_recorder(recorder);
   }
 
-  if (sampler != nullptr && sampler->enabled()) {
+  // Telemetry rides in the recorder: the standard chaos probes become
+  // "telemetry" counter tracks next to the events that move them.
+  std::optional<obs::TelemetrySampler> sampler;
+  if (recorder != nullptr && recorder->enabled()) {
+    sampler.emplace(*recorder, obs::TelemetrySampler::kDefaultInterval);
     const net::Network& net = fabric.network();
     sampler->add_probe("queue.pending", [&queue] {
       return static_cast<double>(queue.pending());
@@ -138,7 +143,7 @@ ChaosScenarioResult run_chaos_scenario(
     for (std::size_t i = 1;; ++i) {
       const Seconds t = static_cast<double>(i) * sampler->interval();
       if (t > config.plan.horizon) break;
-      queue.schedule_at(t, [sampler, t] { sampler->sample_now(t); });
+      queue.schedule_at(t, [&sampler, t] { sampler->sample_now(t); });
     }
   }
 
@@ -246,15 +251,15 @@ ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
   return report;
 }
 
-obs::slo::SloMonitor make_chaos_slo(const ChaosSoakConfig& config) {
+obs::slo::SloMonitor make_chaos_slo() {
   obs::slo::SloMonitor slo;
   obs::slo::SloObjectiveConfig oc;
   oc.name = "recovery_latency";
   oc.kind = obs::slo::ObjectiveKind::kLatency;
-  oc.threshold = config.obs.recovery_latency_bound;
-  oc.budget = config.obs.recovery_budget;
-  oc.window = config.obs.slo_window;
-  oc.min_events = config.obs.slo_min_events;
+  oc.threshold = kRecoveryLatencyBound;
+  oc.budget = kRecoveryBudget;
+  oc.window = kRecoverySloWindow;
+  oc.min_events = kRecoverySloMinEvents;
   const std::size_t idx = slo.add_objective(std::move(oc));
   SBK_ASSERT_MSG(idx == 0, "recovery_latency must be objective 0");
   (void)idx;

@@ -49,21 +49,6 @@ struct ChaosSoakConfig {
   /// path that is invalid or dead is a soak violation; empty paths count
   /// into the per-strategy unreachable tallies. 0 disables the race.
   std::size_t reachability_probes = 32;
-
-  /// Recovery-latency objective of make_chaos_slo: each closed
-  /// incident's recovered_at - injected_at is judged against the bound.
-  struct ChaosObsConfig {
-    /// The paper's sub-millisecond target covers the failover span
-    /// alone; a chaos incident closes only after the scheduled offline
-    /// diagnosis (diagnosis_delay, default 25ms) and any command
-    /// retries, so the default bound covers that modeled pipeline with
-    /// the budget tolerating the retry tail.
-    Seconds recovery_latency_bound = milliseconds(50);
-    double recovery_budget = 0.05;
-    Seconds slo_window = 0.25;
-    std::uint64_t slo_min_events = 5;
-  };
-  ChaosObsConfig obs;
 };
 
 struct ChaosScenarioResult {
@@ -107,13 +92,13 @@ struct ChaosSoakReport {
 /// observer present is wired in, and none changes the outcome:
 ///   * metrics — detector and controller instruments, through
 ///     ControlPlane::attach_metrics;
-///   * recorder — the event queue, control plane and fabric, plus the
-///     RecoveryTracer timeline exported as "recovery" spans and, with an
-///     SLO monitor, its instants (breaches, clears, attainment);
-///   * sampler — the standard chaos probes (queue depth, backup-pool
-///     occupancy, live-link fraction, controller backlog, report-channel
-///     buffering), sampled every sampler->interval() by pre-scheduled
-///     queue events;
+///   * recorder — the control plane and fabric, plus the RecoveryTracer
+///     timeline exported as "recovery" spans and, with an SLO monitor,
+///     its instants (breaches, clears, attainment). An enabled recorder
+///     also gets a TelemetrySampler: the standard chaos probes (queue
+///     depth, backup-pool occupancy, live-link fraction, controller
+///     backlog, report-channel buffering) as "telemetry" counters, every
+///     TelemetrySampler::kDefaultInterval by pre-scheduled queue events;
 ///   * slo — must come from make_chaos_slo (directly or via
 ///     clone_config); fed every closed incident's recovery latency in
 ///     recovery order and finished at the plan horizon;
@@ -127,13 +112,24 @@ struct ChaosSoakReport {
 /// gets per-scenario observers, merged in scenario order with the
 /// scenario index as the track, so every output is independent of the
 /// thread count (wall-clock span durations aside). A `slo` sink should
-/// be make_chaos_slo(config); a `health` sink requires it.
+/// be make_chaos_slo(); a `health` sink requires it.
 [[nodiscard]] ChaosSoakReport run_chaos_soak(
     const ChaosSoakConfig& config, const sweep::ObservedSinks& sinks = {});
 
+/// Recovery-latency objective of make_chaos_slo: each closed incident's
+/// recovered_at - injected_at is judged against the bound. The paper's
+/// sub-millisecond target covers the failover span alone; a chaos
+/// incident closes only after the scheduled offline diagnosis
+/// (diagnosis_delay, default 25ms) and any command retries, so the
+/// bound covers that modeled pipeline with the budget tolerating the
+/// retry tail.
+inline constexpr Seconds kRecoveryLatencyBound = milliseconds(50);
+inline constexpr double kRecoveryBudget = 0.05;
+inline constexpr Seconds kRecoverySloWindow = 0.25;
+inline constexpr std::uint64_t kRecoverySloMinEvents = 5;
+
 /// Prototype SloMonitor for a chaos soak: one "recovery_latency"
-/// objective (index 0) built from config.obs.
-[[nodiscard]] obs::slo::SloMonitor make_chaos_slo(
-    const ChaosSoakConfig& config);
+/// objective (index 0) with the constants above.
+[[nodiscard]] obs::slo::SloMonitor make_chaos_slo();
 
 }  // namespace sbk::faultinject

@@ -1,10 +1,6 @@
 #include "obs/timeseries.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/assert.hpp"
-#include "util/csv.hpp"
 
 namespace sbk::obs {
 
@@ -15,29 +11,26 @@ namespace {
 constexpr Seconds kTickEps = 1e-9;
 }  // namespace
 
-TelemetrySampler::TelemetrySampler(Seconds interval, bool enabled)
-    : enabled_(enabled), interval_(interval) {
+TelemetrySampler::TelemetrySampler(FlightRecorder& recorder, Seconds interval)
+    : recorder_(&recorder), interval_(interval) {
   SBK_EXPECTS(interval > 0.0);
 }
 
 void TelemetrySampler::add_probe(std::string name, Probe probe) {
-  if (!enabled_) return;
   SBK_EXPECTS(probe != nullptr);
-  SBK_EXPECTS_MSG(times_.empty(), "register probes before sampling starts");
+  SBK_EXPECTS_MSG(!started_, "register probes before sampling starts");
   names_.push_back(std::move(name));
   probes_.push_back(std::move(probe));
-  columns_.emplace_back();
 }
 
 void TelemetrySampler::take_sample(Seconds at) {
-  times_.push_back(at);
   for (std::size_t i = 0; i < probes_.size(); ++i) {
-    columns_[i].push_back(probes_[i]());
+    recorder_->counter("telemetry", names_[i], at, probes_[i]());
   }
 }
 
 void TelemetrySampler::start(Seconds at) {
-  if (!enabled_ || started_) return;
+  if (!recorder_->enabled() || started_) return;
   started_ = true;
   origin_ = at;
   next_tick_ = 1;
@@ -45,7 +38,7 @@ void TelemetrySampler::start(Seconds at) {
 }
 
 void TelemetrySampler::sample_now(Seconds at) {
-  if (!enabled_) return;
+  if (!recorder_->enabled()) return;
   if (!started_) {
     start(at);
     return;
@@ -60,107 +53,19 @@ void TelemetrySampler::sample_now(Seconds at) {
 }
 
 void TelemetrySampler::advance_to(Seconds now) {
-  if (!enabled_) return;
+  if (!recorder_->enabled()) return;
   if (!started_) {
     start(0.0);
   }
   for (;;) {
     // Exact multiples of the cadence (origin + tick * interval): no
-    // accumulated floating-point drift, so the times column is
-    // bit-stable across runs and thread counts.
+    // accumulated floating-point drift, so sample times are bit-stable
+    // across runs and thread counts.
     const Seconds boundary =
         origin_ + static_cast<double>(next_tick_) * interval_;
     if (boundary > now + kTickEps) break;
     take_sample(boundary);
     ++next_tick_;
-  }
-}
-
-void TelemetrySampler::write_csv(std::ostream& out) const {
-  CsvWriter csv(out);
-  std::vector<std::string> header{"time"};
-  header.insert(header.end(), names_.begin(), names_.end());
-  csv.row(header);
-  for (std::size_t r = 0; r < times_.size(); ++r) {
-    std::vector<std::string> row{CsvWriter::num(times_[r])};
-    for (const std::vector<double>& col : columns_) {
-      row.push_back(CsvWriter::num(col[r]));
-    }
-    csv.row(row);
-  }
-}
-
-void TelemetrySampler::write_downsampled_csv(std::ostream& out,
-                                             Seconds bucket_width) const {
-  SBK_EXPECTS(bucket_width > 0.0);
-  CsvWriter csv(out);
-  std::vector<std::string> header{"time"};
-  for (const std::string& n : names_) {
-    header.push_back(n + ".min");
-    header.push_back(n + ".mean");
-    header.push_back(n + ".max");
-  }
-  csv.row(header);
-
-  std::size_t r = 0;
-  while (r < times_.size()) {
-    const auto bucket =
-        static_cast<std::int64_t>(std::floor(times_[r] / bucket_width));
-    std::size_t end = r;
-    while (end < times_.size() &&
-           static_cast<std::int64_t>(
-               std::floor(times_[end] / bucket_width)) == bucket) {
-      ++end;
-    }
-    std::vector<std::string> row{
-        CsvWriter::num(static_cast<double>(bucket) * bucket_width)};
-    for (const std::vector<double>& col : columns_) {
-      double lo = col[r], hi = col[r], sum = 0.0;
-      for (std::size_t i = r; i < end; ++i) {
-        lo = std::min(lo, col[i]);
-        hi = std::max(hi, col[i]);
-        sum += col[i];
-      }
-      row.push_back(CsvWriter::num(lo));
-      row.push_back(CsvWriter::num(sum / static_cast<double>(end - r)));
-      row.push_back(CsvWriter::num(hi));
-    }
-    csv.row(row);
-    r = end;
-  }
-}
-
-void TelemetryTable::append(std::size_t scenario,
-                            const TelemetrySampler& sampler) {
-  if (!enabled_) return;
-  if (names_.empty() && !sampler.series_names().empty()) {
-    names_ = sampler.series_names();
-    columns_.assign(names_.size(), {});
-  }
-  if (sampler.rows() == 0) return;
-  SBK_EXPECTS_MSG(sampler.series_names() == names_,
-                  "all merged samplers must expose identical series");
-  for (std::size_t r = 0; r < sampler.rows(); ++r) {
-    scenario_.push_back(scenario);
-    times_.push_back(sampler.times()[r]);
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].push_back(sampler.column(c)[r]);
-    }
-  }
-}
-
-void TelemetryTable::write_csv(std::ostream& out) const {
-  CsvWriter csv(out);
-  std::vector<std::string> header{"scenario", "time"};
-  header.insert(header.end(), names_.begin(), names_.end());
-  csv.row(header);
-  for (std::size_t r = 0; r < times_.size(); ++r) {
-    std::vector<std::string> row{CsvWriter::num(scenario_[r]),
-                                 CsvWriter::num(times_[r])};
-    for (const std::vector<double>& col : columns_) {
-      row.push_back(CsvWriter::num(col[r]));
-    }
-    csv.row(row);
   }
 }
 

@@ -55,34 +55,32 @@ ControllerService::ControllerService(sharebackup::Fabric& fabric,
                [this](const std::vector<ServiceMessage>& batch, Seconds start,
                       Seconds end) { dispatch_batch(batch, start, end); }) {
   if (config_.slo.enabled) {
-    const ServiceSloConfig& s = config_.slo;
-    SBK_EXPECTS(s.snapshot_interval > 0.0);
     obs::slo::SloObjectiveConfig decision;
     decision.name = "decision_latency";
     decision.kind = obs::slo::ObjectiveKind::kLatency;
-    decision.threshold = s.decision_latency_bound;
-    decision.budget = s.decision_budget;
+    decision.threshold = kSloDecisionLatencyBound;
+    decision.budget = kSloDecisionBudget;
     obs::slo::SloObjectiveConfig availability;
     availability.name = "service_availability";
-    availability.budget = s.availability_budget;
+    availability.budget = kSloAvailabilityBudget;
     obs::slo::SloObjectiveConfig loss;
     loss.name = "report_loss";
-    loss.budget = s.loss_budget;
+    loss.budget = kSloLossBudget;
     for (obs::slo::SloObjectiveConfig* cfg :
          {&decision, &availability, &loss}) {
-      cfg->window = s.window;
-      cfg->steps = s.steps;
-      cfg->short_steps = s.short_steps;
-      cfg->burn_factor = s.burn_factor;
-      cfg->clear_factor = s.clear_factor;
-      cfg->min_events = s.min_events;
+      cfg->window = kSloWindow;
+      cfg->steps = kSloSteps;
+      cfg->short_steps = kSloShortSteps;
+      cfg->burn_factor = kSloBurnFactor;
+      cfg->clear_factor = kSloClearFactor;
+      cfg->min_events = kSloMinEvents;
     }
     const std::size_t d = slo_monitor_.add_objective(decision);
     const std::size_t a = slo_monitor_.add_objective(availability);
     const std::size_t l = slo_monitor_.add_objective(loss);
     SBK_ASSERT(d == kSloDecision && a == kSloAvailability && l == kSloLoss);
     slo_enabled_ = true;
-    next_snapshot_ = s.snapshot_interval;
+    next_snapshot_ = kSloSnapshotInterval;
   }
 
   ingress_.set_reject_hook([this](const ServiceMessage& msg, bool overflow) {
@@ -434,8 +432,8 @@ void ControllerService::slo_on_batch(Seconds start) {
   fill_health(snap);
   health_.add(std::move(snap));
   // One sample per crossing, however many multiples a quiet gap spans.
-  const double k = std::floor(start / config_.slo.snapshot_interval);
-  next_snapshot_ = (k + 1.0) * config_.slo.snapshot_interval;
+  const double k = std::floor(start / kSloSnapshotInterval);
+  next_snapshot_ = (k + 1.0) * kSloSnapshotInterval;
 }
 
 void ControllerService::slo_finish() {

@@ -71,32 +71,10 @@ namespace sbk::service {
 /// Live SLO engine configuration (obs/slo wired into the service loop).
 /// Disabled by default: the only hot-path cost of a disabled engine is
 /// one branch per message (the same gate style as the flight recorder).
+/// The objectives and snapshot cadence are fixed (ControllerService's
+/// kSlo* constants).
 struct ServiceSloConfig {
   bool enabled = false;
-  /// Virtual-time spacing of health snapshots; each sample is taken at
-  /// the first batch boundary at or after a multiple of the interval
-  /// (plus one final sample at drain), so the snapshot timeline is a
-  /// pure function of the message schedule.
-  Seconds snapshot_interval = 0.25;
-  /// decision_latency objective: "p-(1-budget) of decision latencies
-  /// (arrival -> batch end) stays under the bound".
-  Seconds decision_latency_bound = 0.05;
-  double decision_budget = 0.02;
-  /// service_availability objective: a failure-relevant message handled
-  /// by a usable primary is good; one buffered headless (or refused by
-  /// the term guard) is bad. The single-controller service never
-  /// records a bad event.
-  double availability_budget = 1e-3;
-  /// report_loss objective: ingress overflow drops vs. processed
-  /// messages (deliberate probe shedding is not loss).
-  double loss_budget = 1e-4;
-  /// Shared burn-window geometry (see obs/slo/slo_monitor.hpp).
-  Seconds window = 0.05;
-  std::uint32_t steps = 10;
-  std::uint32_t short_steps = 2;
-  double burn_factor = 4.0;
-  double clear_factor = 1.0;
-  std::uint64_t min_events = 20;
 };
 
 struct ServiceConfig {
@@ -252,6 +230,31 @@ class ControllerService {
   static constexpr std::size_t kSloDecision = 0;
   static constexpr std::size_t kSloAvailability = 1;
   static constexpr std::size_t kSloLoss = 2;
+  /// decision_latency objective: "p-(1-budget) of decision latencies
+  /// (arrival -> batch end) stays under the bound".
+  static constexpr Seconds kSloDecisionLatencyBound = 0.05;
+  static constexpr double kSloDecisionBudget = 0.02;
+  /// service_availability objective: a failure-relevant message handled
+  /// by a usable primary is good; one buffered headless (or refused by
+  /// the term guard) is bad. The single-controller service never
+  /// records a bad event.
+  static constexpr double kSloAvailabilityBudget = 1e-3;
+  /// report_loss objective: ingress overflow drops vs. processed
+  /// messages (deliberate probe shedding is not loss).
+  static constexpr double kSloLossBudget = 1e-4;
+  /// Burn-window geometry shared by the three objectives (see
+  /// obs/slo/slo_monitor.hpp).
+  static constexpr Seconds kSloWindow = 0.05;
+  static constexpr std::uint32_t kSloSteps = 10;
+  static constexpr std::uint32_t kSloShortSteps = 2;
+  static constexpr double kSloBurnFactor = 4.0;
+  static constexpr double kSloClearFactor = 1.0;
+  static constexpr std::uint64_t kSloMinEvents = 20;
+  /// Virtual-time spacing of health snapshots; each sample is taken at
+  /// the first batch boundary at or after a multiple of the interval
+  /// (plus one final sample at drain), so the snapshot timeline is a
+  /// pure function of the message schedule.
+  static constexpr Seconds kSloSnapshotInterval = 0.25;
 
  protected:
   // --- subclass surface (ReplicatedControllerService) ------------------------

@@ -154,8 +154,12 @@ class FluidSimulator {
 
   /// Fixed-cadence time-series sampling, driven from simulation time (the
   /// sampler's cadence boundaries are visited as the run loop crosses
-  /// them, so sampling is deterministic). Register probes — e.g. the
-  /// active_flow_count/link_utilization accessors below — before run().
+  /// them, so sampling is deterministic). Each sample lands in the
+  /// sampler's recorder as "telemetry" counters. Register probes — e.g.
+  /// the active_flow_count/link_utilization accessors below — before
+  /// run(). nullptr (the default) keeps the hot loop to one pointer
+  /// test per event; a sampler over a disabled recorder returns at its
+  /// first branch.
   void attach_telemetry(obs::TelemetrySampler* telemetry) noexcept {
     telemetry_ = telemetry;
   }

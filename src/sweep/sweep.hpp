@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/slo/health_snapshot.hpp"
 #include "obs/slo/slo_monitor.hpp"
-#include "obs/timeseries.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -66,7 +65,6 @@ struct SweepConfig {
 struct ObservedSinks {
   obs::MetricsRegistry* metrics = nullptr;
   obs::FlightRecorder* trace = nullptr;
-  obs::TelemetryTable* telemetry = nullptr;
   obs::slo::SloMonitor* slo = nullptr;
   obs::slo::HealthLog* health = nullptr;
 };
@@ -76,7 +74,6 @@ struct ObservedSinks {
 struct ScenarioObservers {
   obs::MetricsRegistry* metrics = nullptr;
   obs::FlightRecorder* recorder = nullptr;
-  obs::TelemetrySampler* sampler = nullptr;
   obs::slo::SloMonitor* slo = nullptr;
   obs::slo::HealthLog* health = nullptr;
 };
@@ -166,10 +163,12 @@ class SweepRunner {
   }
 
   /// Observed sweep: for each sink present in `sinks`, every scenario
-  /// gets a private local (no cross-thread sharing) — a registry,
-  /// recorder or sampler with the sink's enabled flag, an SLO monitor
-  /// stamped by clone_config(), an empty health log — and a
-  /// "sweep"/"scenario" span in its recorder. After the sweep the
+  /// gets a private local (no cross-thread sharing) — a registry or
+  /// recorder with the sink's enabled flag, an SLO monitor stamped by
+  /// clone_config(), an empty health log — and a "sweep"/"scenario"
+  /// span in its recorder. A scenario that samples telemetry samples it
+  /// into its recorder (obs::TelemetrySampler), so the trace merge
+  /// carries the series too. After the sweep the
   /// locals are folded into their sinks in scenario order, with the
   /// scenario index as the track, so every merged output is independent
   /// of the thread count (wall-clock span durations aside). Locals live
@@ -183,16 +182,11 @@ class SweepRunner {
                                           const ScenarioObservers&>> {
     std::deque<obs::MetricsRegistry> registries;
     std::deque<obs::FlightRecorder> recorders;
-    std::deque<obs::TelemetrySampler> samplers;
     std::deque<obs::slo::SloMonitor> monitors;
     std::deque<obs::slo::HealthLog> logs;
     for (std::size_t i = 0; i < scenario_count; ++i) {
       if (sinks.metrics) registries.emplace_back(sinks.metrics->enabled());
       if (sinks.trace) recorders.emplace_back(sinks.trace->enabled());
-      if (sinks.telemetry) {
-        samplers.emplace_back(obs::TelemetrySampler::kDefaultInterval,
-                              sinks.telemetry->enabled());
-      }
       if (sinks.slo) monitors.push_back(sinks.slo->clone_config());
       if (sinks.health) logs.emplace_back();
     }
@@ -202,8 +196,8 @@ class SweepRunner {
     auto results = run(scenario_count, [&](const ScenarioSpec& spec) {
       const std::size_t i = spec.index;
       const ScenarioObservers observers{
-          local(registries, i), local(recorders, i), local(samplers, i),
-          local(monitors, i), local(logs, i)};
+          local(registries, i), local(recorders, i), local(monitors, i),
+          local(logs, i)};
       obs::ScopedSpan span(observers.recorder, "sweep", "scenario", 0.0);
       return fn(spec, observers);
     });
@@ -211,7 +205,6 @@ class SweepRunner {
       const auto track = static_cast<std::uint32_t>(i);
       if (sinks.metrics) sinks.metrics->merge(registries[i]);
       if (sinks.trace) sinks.trace->merge(recorders[i], track);
-      if (sinks.telemetry) sinks.telemetry->append(i, samplers[i]);
       if (sinks.slo) sinks.slo->merge(monitors[i], track);
       if (sinks.health) sinks.health->append(logs[i], track);
     }

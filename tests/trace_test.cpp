@@ -1,10 +1,11 @@
 // Tests for the flight recorder and time-series telemetry: ring-buffer
 // overwrite semantics, disabled no-op guarantees, deterministic sweep
-// merging, the Perfetto JSON round trip, exact-cadence sampling, and —
-// the load-bearing property — bit-identical observed chaos-soak output
-// (trace, telemetry, SLO timeline, health log, metrics) at any sweep
-// thread count, pinned across builds by digest (wall-clock fields
-// excluded, as the one declared nondeterministic channel).
+// merging, the Perfetto JSON round trip, exact-cadence sampling into
+// recorder counters, and — the load-bearing property — bit-identical
+// observed chaos-soak output (trace with its telemetry counters, SLO
+// timeline, health log, metrics) at any sweep thread count, pinned
+// across builds by digest (wall-clock fields excluded, as the one
+// declared nondeterministic channel).
 #include <gtest/gtest.h>
 
 #include <iomanip>
@@ -122,87 +123,93 @@ TEST(FlightRecorder, TraceJsonRoundTripsThroughLoader) {
 
 // --- telemetry sampler -------------------------------------------------------
 
+/// One probe's samples as the sampler recorded them: the "telemetry"
+/// counter events named `name`, in record order.
+struct Series {
+  std::vector<double> times;
+  std::vector<double> values;
+};
+
+Series series(const FlightRecorder& rec, const std::string& name) {
+  Series out;
+  for (const TraceEvent& e : rec.events()) {
+    if (e.phase != TracePhase::kCounter || e.category != "telemetry" ||
+        e.name != name) {
+      continue;
+    }
+    out.times.push_back(e.ts);
+    out.values.push_back(e.value);
+  }
+  return out;
+}
+
 TEST(Telemetry, SamplesExactCadenceBoundaries) {
   double state = 0.0;
-  TelemetrySampler sampler(0.25);
+  FlightRecorder rec;
+  TelemetrySampler sampler(rec, 0.25);
   sampler.add_probe("state", [&state] { return state; });
   sampler.start(0.0);
   state = 1.0;
   sampler.advance_to(0.6);   // boundaries 0.25, 0.5
   state = 2.0;
   sampler.advance_to(1.0);   // boundaries 0.75, 1.0 (inclusive)
-  ASSERT_EQ(sampler.rows(), 5u);
+  const Series s = series(rec, "state");
+  ASSERT_EQ(s.times.size(), 5u);
   // Exact multiples — no accumulated drift.
-  EXPECT_DOUBLE_EQ(sampler.times()[1], 0.25);
-  EXPECT_DOUBLE_EQ(sampler.times()[4], 1.0);
-  const std::vector<double>& col = sampler.column(0);
-  EXPECT_DOUBLE_EQ(col[0], 0.0);
-  EXPECT_DOUBLE_EQ(col[2], 1.0);
-  EXPECT_DOUBLE_EQ(col[4], 2.0);
+  EXPECT_DOUBLE_EQ(s.times[1], 0.25);
+  EXPECT_DOUBLE_EQ(s.times[4], 1.0);
+  EXPECT_DOUBLE_EQ(s.values[0], 0.0);
+  EXPECT_DOUBLE_EQ(s.values[2], 1.0);
+  EXPECT_DOUBLE_EQ(s.values[4], 2.0);
 }
 
 TEST(Telemetry, SampleNowReanchorsWithoutDuplicates) {
-  TelemetrySampler sampler(0.5);
+  FlightRecorder rec;
+  TelemetrySampler sampler(rec, 0.5);
   sampler.add_probe("one", [] { return 1.0; });
   sampler.start(0.0);
   sampler.sample_now(0.3);   // ad-hoc sample between boundaries
   sampler.sample_now(0.5);   // lands exactly on a boundary
   sampler.advance_to(1.0);   // must not re-take 0.5
   std::vector<double> expected{0.0, 0.3, 0.5, 1.0};
-  ASSERT_EQ(sampler.rows(), expected.size());
+  const Series s = series(rec, "one");
+  ASSERT_EQ(s.times.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sampler.times()[i], expected[i]) << "row " << i;
+    EXPECT_DOUBLE_EQ(s.times[i], expected[i]) << "row " << i;
   }
 }
 
-TEST(Telemetry, DisabledSamplerIsANoOp) {
-  TelemetrySampler sampler(0.1, /*enabled=*/false);
-  sampler.add_probe("x", [] { return 1.0; });
+TEST(Telemetry, SampleRecordsProbesInRegistrationOrder) {
+  FlightRecorder rec;
+  TelemetrySampler sampler(rec, 1.0);
+  sampler.add_probe("b", [] { return 2.0; });
+  sampler.add_probe("a", [] { return 1.0; });
+  sampler.start(0.0);
+  sampler.advance_to(1.0);
+  const std::vector<TraceEvent> events = rec.events();
+  ASSERT_EQ(events.size(), 4u);
+  const char* names[] = {"b", "a", "b", "a"};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].phase, TracePhase::kCounter) << i;
+    EXPECT_EQ(events[i].category, "telemetry") << i;
+    EXPECT_EQ(events[i].name, names[i]) << i;
+    EXPECT_DOUBLE_EQ(events[i].ts, i < 2 ? 0.0 : 1.0) << i;
+  }
+}
+
+TEST(Telemetry, SamplerOverDisabledRecorderRecordsNothing) {
+  FlightRecorder rec(/*enabled=*/false);
+  std::size_t probed = 0;
+  TelemetrySampler sampler(rec, 0.1);
+  sampler.add_probe("x", [&probed] {
+    ++probed;
+    return 1.0;
+  });
   sampler.start(0.0);
   sampler.advance_to(5.0);
   sampler.sample_now(2.0);
-  EXPECT_EQ(sampler.rows(), 0u);
-  EXPECT_TRUE(sampler.series_names().empty());
-}
-
-TEST(Telemetry, DownsampledCsvEmitsMinMeanMaxPerBucket) {
-  double state = 0.0;
-  TelemetrySampler sampler(0.25);
-  sampler.add_probe("v", [&state] { return state; });
-  for (double t : {0.0, 0.25, 0.5, 0.75}) {
-    state = t * 4.0;  // 0, 1, 2, 3
-    sampler.sample_now(t);
-  }
-  std::ostringstream out;
-  sampler.write_downsampled_csv(out, 0.5);
-  std::istringstream lines(out.str());
-  std::string header, row0, row1;
-  ASSERT_TRUE(std::getline(lines, header));
-  ASSERT_TRUE(std::getline(lines, row0));
-  ASSERT_TRUE(std::getline(lines, row1));
-  EXPECT_EQ(header, "time,v.min,v.mean,v.max");
-  EXPECT_EQ(row0, "0,0,0.5,1");   // bucket [0, 0.5): samples 0, 1
-  EXPECT_EQ(row1, "0.5,2,2.5,3");  // bucket [0.5, 1): samples 2, 3
-}
-
-TEST(Telemetry, TableMergesSamplersInScenarioOrder) {
-  TelemetryTable table;
-  for (std::size_t scenario = 0; scenario < 2; ++scenario) {
-    TelemetrySampler s(1.0);
-    s.add_probe("depth", [scenario] { return static_cast<double>(scenario); });
-    s.start(0.0);
-    s.advance_to(1.0);
-    table.append(scenario, s);
-  }
-  EXPECT_EQ(table.rows(), 4u);
-  std::ostringstream out;
-  table.write_csv(out);
-  std::istringstream lines(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, "scenario,time,depth");
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, "0,0,0");
+  EXPECT_EQ(rec.recorded(), 0u);
+  EXPECT_EQ(probed, 0u);  // the recorder's flag is tested first
 }
 
 // --- fluid-sim integration ---------------------------------------------------
@@ -226,7 +233,7 @@ TEST(Telemetry, FluidSimReportsUtilizationAndFlowCount) {
   fluid.add_flow(sim::FlowSpec{2, ft.host(0), ft.host(12), 5.0, 0.0});
 
   FlightRecorder recorder;
-  TelemetrySampler sampler(1.0);
+  TelemetrySampler sampler(recorder, 1.0);
   sampler.add_probe("flows", [&fluid] {
     return static_cast<double>(fluid.active_flow_count());
   });
@@ -237,9 +244,10 @@ TEST(Telemetry, FluidSimReportsUtilizationAndFlowCount) {
   fluid.attach_telemetry(&sampler);
   (void)fluid.run();
 
-  ASSERT_GE(sampler.rows(), 3u);
-  const std::vector<double>& flows = sampler.column(0);
-  const std::vector<double>& util = sampler.column(1);
+  const std::vector<double> flows = series(recorder, "flows").values;
+  const std::vector<double> util = series(recorder, "util_max").values;
+  ASSERT_GE(flows.size(), 3u);
+  ASSERT_EQ(util.size(), flows.size());
   // Samples see the state *before* same-instant events, so row 0 (t=0)
   // predates the arrivals; from t=1 both flows saturate the shared NIC.
   EXPECT_DOUBLE_EQ(flows[0], 0.0);
@@ -287,7 +295,6 @@ std::uint64_t fnv1a(const std::string& s) {
 /// comparison (the trace without wall_us).
 struct AllSinks {
   FlightRecorder trace;
-  TelemetryTable telemetry;
   MetricsRegistry metrics;
   slo::SloMonitor slo;
   slo::HealthLog health;
@@ -295,18 +302,13 @@ struct AllSinks {
   explicit AllSinks(const faultinject::ChaosSoakConfig& cfg)
       : trace(/*enabled=*/true,
               FlightRecorder::kDefaultCapacity * cfg.scenarios),
-        slo(faultinject::make_chaos_slo(cfg)) {}
+        slo(faultinject::make_chaos_slo()) {}
 
   [[nodiscard]] sweep::ObservedSinks sinks() {
-    return {&metrics, &trace, &telemetry, &slo, &health};
+    return {&metrics, &trace, &slo, &health};
   }
   [[nodiscard]] std::string trace_text() const {
     return deterministic_fingerprint(trace);
-  }
-  [[nodiscard]] std::string telemetry_csv() const {
-    std::ostringstream os;
-    telemetry.write_csv(os);
-    return os.str();
   }
   [[nodiscard]] std::string metrics_csv() const {
     std::ostringstream os;
@@ -348,9 +350,9 @@ void expect_same_outcomes(const faultinject::ChaosSoakReport& a,
 }
 
 TEST(TracedSweep, OutputIndependentOfThreadCount) {
-  // Every sink at once: the merged trace, telemetry, SLO timeline,
-  // health log and metrics are bit-identical at 1, 4 and 8 threads, and
-  // observing does not perturb a single scenario outcome.
+  // Every sink at once: the merged trace (telemetry included), SLO
+  // timeline, health log and metrics are bit-identical at 1, 4 and 8
+  // threads, and observing does not perturb a single scenario outcome.
   const faultinject::ChaosSoakReport plain =
       faultinject::run_chaos_soak(soak_config(4, 1));
   auto run = [&plain](std::size_t threads) {
@@ -364,7 +366,7 @@ TEST(TracedSweep, OutputIndependentOfThreadCount) {
   };
   const auto serial = run(1);
   EXPECT_FALSE(serial->trace_text().empty());
-  EXPECT_NE(serial->telemetry_csv().find("net.live_link_frac"),
+  EXPECT_NE(serial->trace_text().find("C|3|telemetry|net.live_link_frac|"),
             std::string::npos);
   EXPECT_NE(serial->metrics_csv().find("controller.failovers"),
             std::string::npos);
@@ -372,7 +374,6 @@ TEST(TracedSweep, OutputIndependentOfThreadCount) {
   for (std::size_t threads : {4u, 8u}) {
     const auto other = run(threads);
     EXPECT_EQ(serial->trace_text(), other->trace_text());
-    EXPECT_EQ(serial->telemetry_csv(), other->telemetry_csv());
     EXPECT_EQ(serial->slo.fingerprint(), other->slo.fingerprint());
     EXPECT_EQ(serial->health.fingerprint(), other->health.fingerprint());
     EXPECT_EQ(serial->metrics_csv(), other->metrics_csv());
@@ -385,23 +386,20 @@ TEST(TracedSweep, OutputIndependentOfThreadCount) {
 // samples, spans or merges moves them. The traced digest was re-derived
 // when the event queue stopped recording a span per dispatched event:
 // from that implementation, with rings large enough that none wrapped
-// and every queue/dispatch event dropped.
+// and every queue/dispatch event dropped. It was re-derived again when
+// telemetry moved into the trace: from the columnar sampler it
+// replaced, with each sample also written into the scenario recorder.
 
 TEST(ObservedSoak, TracedOutputsMatchPinnedDigest) {
   const faultinject::ChaosSoakConfig cfg = soak_config(6, 1);
   FlightRecorder trace(/*enabled=*/true,
                        FlightRecorder::kDefaultCapacity * cfg.scenarios);
-  TelemetryTable telemetry;
   sweep::ObservedSinks sinks;
   sinks.trace = &trace;
-  sinks.telemetry = &telemetry;
   const faultinject::ChaosSoakReport report = run_chaos_soak(cfg, sinks);
   EXPECT_TRUE(report.clean()) << report.summary();
-  std::ostringstream tel;
-  telemetry.write_csv(tel);
-  const std::uint64_t digest =
-      fnv1a(deterministic_fingerprint(trace) + "#" + tel.str());
-  EXPECT_EQ(digest, 0xdddd6c0458dcfa98ULL) << std::hex << "digest 0x"
+  const std::uint64_t digest = fnv1a(deterministic_fingerprint(trace));
+  EXPECT_EQ(digest, 0x4e575183abc40356ULL) << std::hex << "digest 0x"
                                             << digest;
 }
 
@@ -431,7 +429,7 @@ TEST(ObservedSoak, TraceKeepsEveryScenarioInjectionWindow) {
 
 TEST(ObservedSoak, SloOutputsMatchPinnedDigest) {
   const faultinject::ChaosSoakConfig cfg = soak_config(6, 1);
-  slo::SloMonitor monitor = faultinject::make_chaos_slo(cfg);
+  slo::SloMonitor monitor = faultinject::make_chaos_slo();
   slo::HealthLog health;
   sweep::ObservedSinks sinks;
   sinks.slo = &monitor;

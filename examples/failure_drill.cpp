@@ -66,15 +66,13 @@ int main(int argc, char** argv) {
     controller.set_time(t);
     auto out = controller.on_switch_failure(*pos);
     std::printf("[%7.4fs] node failure at %s -> %s\n", t,
-                fabric.network().node(node).name.c_str(),
-                out.detail.c_str());
+                fabric.network().node(node).name.c_str(), out.detail);
   });
   detector.on_link_failure([&](net::LinkId link, Seconds t) {
     if (!cluster.available()) return;
     controller.set_time(t);
     auto out = controller.on_link_failure(link);
-    std::printf("[%7.4fs] link failure report -> %s\n", t,
-                out.detail.c_str());
+    std::printf("[%7.4fs] link failure report -> %s\n", t, out.detail);
   });
 
   const Seconds horizon = 1.0;

@@ -44,7 +44,7 @@ int main() {
   // The controller allocates a backup and reconfigures the circuits.
   control::RecoveryOutcome outcome = controller.on_switch_failure(pos);
   if (!outcome.recovered) {
-    std::printf("recovery failed: %s\n", outcome.detail.c_str());
+    std::printf("recovery failed: %s\n", outcome.detail);
     return 1;
   }
   const auto& report = outcome.failovers.front();

@@ -68,7 +68,10 @@
 #                  throughput, p99 decision-latency, and peak-RSS
 #                  bounds asserted, plus a cross-thread determinism
 #                  check (inline / 1 / 8 producer threads must produce
-#                  bit-identical fingerprints).
+#                  bit-identical fingerprints). Then build and run
+#                  tests/alloc_test in the same tree: once warm, the
+#                  service's dispatch path may make at most 0.25 heap
+#                  allocations per processed message.
 #   --failover-smoke
 #                  Build examples/service_soak + sbk_trace (Release) and
 #                  run the replicated-service chaos soak across all three
@@ -309,7 +312,7 @@ fi
 if [ "$SERVICE_SMOKE" = 1 ]; then
   BUILD="${1:-build-bench}"
   configure "$BUILD" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$BUILD" --target service_soak
+  cmake --build "$BUILD" --target service_soak alloc_test
   # Gates: >= 100k failure reports processed (the stream carries
   # ~107k), >= 50k messages/s of wall throughput (the Release build
   # sustains several hundred k/s, so this only trips on an
@@ -322,8 +325,9 @@ if [ "$SERVICE_SMOKE" = 1 ]; then
   "$BUILD"/examples/service_soak --verify-threads \
     --min-reports=100000 --min-throughput=50000 \
     --max-p99-ms=50 --max-rss-mb=256
+  "$BUILD"/tests/alloc_test
   echo "service-smoke: sustained report stream within gates," \
-    "bit-identical across thread counts"
+    "bit-identical across thread counts, allocation-free dispatch"
   exit 0
 fi
 

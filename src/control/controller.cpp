@@ -1,6 +1,8 @@
 #include "control/controller.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "control/recovery_latency.hpp"
 #include "util/assert.hpp"
@@ -13,6 +15,33 @@ using sharebackup::DeviceUid;
 using sharebackup::Fabric;
 using sharebackup::InterfaceRef;
 using sharebackup::SwitchPosition;
+
+namespace {
+
+// The four ways a recovery degrades to the global-reroute path, as the
+// outcome's detail; the audit trail names the cause before the suffix.
+constexpr std::string_view kDegradedSuffix = "; degraded to global reroute";
+constexpr const char* kGroupPoolExhausted =
+    "backup pool exhausted for failure group; degraded to global reroute";
+constexpr const char* kLinkPoolExhausted =
+    "backup pool exhausted; link not recovered; degraded to global reroute";
+constexpr const char* kHostLinkPoolExhausted =
+    "backup pool exhausted; host link not recovered; degraded to global "
+    "reroute";
+constexpr const char* kRetriesExhausted =
+    "reconfiguration command retries exhausted; degraded to global reroute";
+
+}  // namespace
+
+void FailoverList::push_back(const Report& report) {
+  if (size_ < kInline) {
+    inline_[size_++] = report;
+    return;
+  }
+  if (spill_.empty()) spill_.assign(inline_.begin(), inline_.end());
+  spill_.push_back(report);
+  ++size_;
+}
 
 Controller::Controller(Fabric& fabric, ControllerConfig config)
     : fabric_(&fabric), config_(config), engine_(fabric) {
@@ -119,8 +148,7 @@ Controller::CommandOutcome Controller::execute_failover(
         co.doa_cascade.push_back(*rep);
         ++co.retries;
         ++stats_.doa_backups;
-        audit("doa-backup", fabric_->device(rep->replacement).name +
-                                " dead on arrival; cascading to next spare");
+        audit({.kind = AuditKind::kDoaBackup, .device = rep->replacement});
         fabric_->network().fail_node(fabric_->node_at(pos));
         rep = fabric_->fail_over(pos);
         if (!rep.has_value()) {
@@ -149,8 +177,7 @@ Controller::CommandOutcome Controller::execute_failover(
   if (applied) {
     // Retries spent, but the reconfiguration is physically in effect
     // (every ack was lost): the position is recovered; keep the result.
-    audit("command-unacked",
-          "reconfiguration applied but never acknowledged");
+    audit({.kind = AuditKind::kCommandUnacked});
     return co;
   }
   co.retries_exhausted = true;
@@ -184,7 +211,8 @@ void Controller::count_failed_recovery(bool pool_exhausted) {
 }
 
 void Controller::degrade(RecoveryOutcome& outcome, ReportedElement element,
-                         const char* cause) {
+                         const char* detail) {
+  SBK_EXPECTS(std::string_view(detail).ends_with(kDegradedSuffix));
   ++stats_.degraded_reroutes;
   if (m_degraded_) m_degraded_->add();
   outcome.degraded = true;
@@ -193,23 +221,34 @@ void Controller::degrade(RecoveryOutcome& outcome, ReportedElement element,
   if (m_degraded_latency_) {
     m_degraded_latency_->record(outcome.degraded_latency);
   }
-  outcome.detail = std::string(cause) + "; degraded to global reroute";
-  const std::string name = element_name(fabric_->network(), element);
-  audit("degraded", name + ": " + cause);
+  outcome.detail = detail;
+  audit({.kind = AuditKind::kDegraded, .element = element, .cause = detail});
   if (recorder_ != nullptr) {
-    recorder_->instant("control", "degraded", now_, name);
+    // element_name()'s text, composed in the trace slot.
+    const net::Network& net = fabric_->network();
+    if (const auto* node = std::get_if<net::NodeId>(&element)) {
+      recorder_->instant("control", "degraded", now_,
+                         {"node:", net.node(*node).name});
+    } else {
+      const net::Link& l = net.link(std::get<net::LinkId>(element));
+      recorder_->instant("control", "degraded", now_,
+                         {"link:", net.node(l.a).name, "-",
+                          net.node(l.b).name});
+    }
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
     // The incident stays open: the element is routed around, not
     // recovered; a later hardware re-attempt closes it.
-    std::size_t inc = tracer_->ensure_incident(name, now_);
+    std::size_t inc = tracer_->ensure_incident(
+        element_name(fabric_->network(), element), now_);
     tracer_->add_span(inc, "degraded_reroute", now_,
                       now_ + outcome.degraded_latency);
   }
 }
 
-void Controller::audit(std::string event, std::string detail) {
-  audit_.push_back(AuditEntry{now_, std::move(event), std::move(detail)});
+void Controller::audit(AuditRecord record) {
+  record.at = now_;
+  audit_.push_back(record);
   // Amortized O(1) trim: let the log run to twice the limit, then shed
   // the oldest block in one move.
   if (audit_limit_ != 0 && audit_.size() >= 2 * audit_limit_) {
@@ -218,6 +257,54 @@ void Controller::audit(std::string event, std::string detail) {
                  audit_.begin() + static_cast<std::ptrdiff_t>(drop));
     audit_dropped_ += drop;
   }
+}
+
+std::vector<AuditEntry> Controller::audit_log() const {
+  std::vector<AuditEntry> log;
+  log.reserve(audit_.size());
+  for (const AuditRecord& r : audit_) log.push_back(format_audit(r));
+  return log;
+}
+
+AuditEntry Controller::format_audit(const AuditRecord& r) const {
+  const auto name = [this](DeviceUid uid) -> const std::string& {
+    return fabric_->device(uid).name;
+  };
+  switch (r.kind) {
+    case AuditKind::kFailover:
+      return {r.at, "failover", name(r.device) + " -> " + name(r.other)};
+    case AuditKind::kLinkFailover:
+      return {r.at, "link-failover",
+              name(r.device) + " & " + name(r.other) + " replaced"};
+    case AuditKind::kDoaBackup:
+      return {r.at, "doa-backup",
+              name(r.device) + " dead on arrival; cascading to next spare"};
+    case AuditKind::kCommandUnacked:
+      return {r.at, "command-unacked",
+              "reconfiguration applied but never acknowledged"};
+    case AuditKind::kDegraded: {
+      std::string_view cause = r.cause;
+      cause.remove_suffix(kDegradedSuffix.size());
+      return {r.at, "degraded",
+              element_name(fabric_->network(), r.element) + ": " +
+                  std::string(cause)};
+    }
+    case AuditKind::kHostFlagged:
+      return {r.at, "host-flagged",
+              fabric_->network().node(std::get<net::NodeId>(r.element)).name +
+                  " (switch redressed)"};
+    case AuditKind::kExonerated:
+      return {r.at, "diagnosis", name(r.device) + " exonerated"};
+    case AuditKind::kConfirmedFaulty:
+      return {r.at, "diagnosis", name(r.device) + " confirmed faulty"};
+    case AuditKind::kRepair:
+      return {r.at, "repair", name(r.device) + " healed, back in pool"};
+    case AuditKind::kHandoff:
+      return {r.at, "handoff",
+              "adopted " + std::to_string(r.count) +
+                  " in-flight commands from failed primary"};
+  }
+  SBK_UNREACHABLE("bad audit kind");
 }
 
 void Controller::park_node(SwitchPosition pos) {
@@ -246,12 +333,11 @@ void Controller::retry_pending() {
   retrying_ = true;
   do {
     retry_again_ = false;
-    std::vector<SwitchPosition> nodes = std::move(pending_nodes_);
-    pending_nodes_.clear();
-    std::vector<net::LinkId> links = std::move(pending_links_);
-    pending_links_.clear();
+    // Recoveries that fail again park back into the (now empty) lists.
+    retry_nodes_.swap(pending_nodes_);
+    retry_links_.swap(pending_links_);
 
-    for (SwitchPosition pos : nodes) {
+    for (SwitchPosition pos : retry_nodes_) {
       if (!fabric_->network().node_failed(fabric_->node_at(pos))) continue;
       ++stats_.requeued;
       if (m_requeued_) m_requeued_->add();
@@ -260,13 +346,15 @@ void Controller::retry_pending() {
         retry_listener_(out, fabric_->node_at(pos), std::nullopt);
       }
     }
-    for (net::LinkId link : links) {
+    for (net::LinkId link : retry_links_) {
       if (!fabric_->network().link_failed(link)) continue;
       ++stats_.requeued;
       if (m_requeued_) m_requeued_->add();
       RecoveryOutcome out = on_link_failure(link);
       if (retry_listener_) retry_listener_(out, std::nullopt, link);
     }
+    retry_nodes_.clear();
+    retry_links_.clear();
     // Terminates: a re-run happens only when a nested trigger fired
     // during this pass, and each re-run either consumes spares or parks
     // everything back without firing another trigger.
@@ -291,8 +379,8 @@ void Controller::adopt_in_flight_from(Controller& dead) {
   // Offline-diagnosis jobs keep their queue positions and cutoff times;
   // incident ids stay valid when both controllers share one tracer (the
   // replicated service attaches the same observers to every replica).
-  for (PendingDiagnosis& job : dead.diagnosis_queue_) {
-    diagnosis_queue_.push_back(job);
+  for (std::size_t i = 0; i < dead.diagnosis_queue_.size(); ++i) {
+    diagnosis_queue_.push_back(dead.diagnosis_queue_[i]);
   }
   dead.diagnosis_queue_.clear();
   // A tripped watchdog is a cluster-wide operational fact: the circuit
@@ -300,28 +388,20 @@ void Controller::adopt_in_flight_from(Controller& dead) {
   // The report window merges so the burst that was building at the dead
   // primary can still trip the watchdog here.
   if (dead.watchdog_tripped_) watchdog_tripped_ = true;
-  recent_link_reports_.insert(recent_link_reports_.end(),
-                              dead.recent_link_reports_.begin(),
-                              dead.recent_link_reports_.end());
-  std::stable_sort(recent_link_reports_.begin(), recent_link_reports_.end(),
-                   [](const LinkReport& a, const LinkReport& b) {
-                     return a.at < b.at;
-                   });
-  dead.recent_link_reports_.clear();
+  adopt_watch_window(dead);
   dead.watchdog_tripped_ = false;
   for (const auto& [uid, incident] : dead.incident_of_faulty_) {
     incident_of_faulty_.emplace(uid, incident);
   }
   dead.incident_of_faulty_.clear();
-  audit("handoff", "adopted " + std::to_string(adopted) +
-                       " in-flight commands from failed primary");
+  audit({.kind = AuditKind::kHandoff, .count = adopted});
 }
 
 void Controller::acknowledge_intervention() {
   watchdog_tripped_ = false;
   // Start the watchdog window fresh: the serviced circuit switch's old
   // report burst must not immediately re-trip it.
-  recent_link_reports_.clear();
+  clear_watch_window();
   // Failures parked while recovery was halted get their turn now.
   retry_pending();
 }
@@ -352,14 +432,14 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
     count_failed_recovery(co.pool_exhausted);
     park_node(pos);
     degrade(outcome, node,
-            co.pool_exhausted ? "backup pool exhausted for failure group"
-                              : "reconfiguration command retries exhausted");
+            co.pool_exhausted ? kGroupPoolExhausted : kRetriesExhausted);
     return outcome;
   }
   const Fabric::FailoverReport& report = *co.report;
   count_failover(report, outcome);
-  audit("failover", fabric_->device(report.failed_device).name + " -> " +
-                        fabric_->device(report.replacement).name);
+  audit({.kind = AuditKind::kFailover,
+         .device = report.failed_device,
+         .other = report.replacement});
   outcome.recovered = true;
   outcome.control_latency = control_path_latency() + co.retry_penalty;
   outcome.detail = "switch replaced by backup";
@@ -370,19 +450,37 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
 
 void Controller::note_link_report_for_watchdog(std::size_t cs,
                                                net::LinkId link) {
-  // One entry per link: a re-transmitted report (detector re-reports,
-  // retried recoveries) refreshes the timestamp instead of inflating the
-  // count — the §5.1 signature is many *distinct* links at one switch.
-  std::erase_if(recent_link_reports_,
-                [link](const LinkReport& r) { return r.link == link; });
-  recent_link_reports_.push_back(LinkReport{now_, cs, link});
-  // Evict reports that fell out of the window, then count this switch's.
-  Seconds cutoff = now_ - config_.watchdog_window;
-  std::erase_if(recent_link_reports_,
-                [cutoff](const LinkReport& r) { return r.at < cutoff; });
-  std::size_t count = static_cast<std::size_t>(
-      std::count_if(recent_link_reports_.begin(), recent_link_reports_.end(),
-                    [cs](const LinkReport& r) { return r.cs == cs; }));
+  SBK_EXPECTS_MSG(watch_window_.empty() || now_ >= watch_window_.back().at,
+                  "link reports must arrive in nondecreasing controller time");
+  if (link.index() >= link_watch_.size()) {
+    link_watch_.resize(fabric_->network().link_count());
+    cs_live_reports_.resize(fabric_->circuit_switch_count(), 0);
+  }
+  // One live entry per link: a re-transmitted report (detector
+  // re-reports, retried recoveries) retires the link's older entries
+  // instead of inflating the count — the §5.1 signature is many
+  // *distinct* links at one switch. A link always maps to the same
+  // circuit switch, so its retired entries all counted at `cs`.
+  LinkWatch& w = link_watch_[link.index()];
+  cs_live_reports_[cs] -= w.live;
+  ++w.generation;
+  w.live = 1;
+  ++cs_live_reports_[cs];
+  watch_window_.push_back(LinkReport{now_, cs, link, w.generation});
+  // Reports arrive in time order, so the ones that fell out of the
+  // window are a prefix; retired entries that reached the front go too.
+  const Seconds cutoff = now_ - config_.watchdog_window;
+  while (!watch_window_.empty()) {
+    const LinkReport& r = watch_window_.front();
+    const bool live = watch_live(r);
+    if (live && r.at >= cutoff) break;
+    if (live) {
+      --link_watch_[r.link.index()].live;
+      --cs_live_reports_[r.cs];
+    }
+    watch_window_.pop_front();
+  }
+  const std::size_t count = cs_live_reports_[cs];
   if (count >= config_.watchdog_threshold && !watchdog_tripped_) {
     watchdog_tripped_ = true;
     ++stats_.watchdog_trips;
@@ -397,6 +495,50 @@ void Controller::note_link_report_for_watchdog(std::size_t cs,
                      << " link reports in window); requesting human "
                         "intervention");
   }
+}
+
+void Controller::clear_watch_window() {
+  for (std::size_t i = 0; i < watch_window_.size(); ++i) {
+    const LinkReport& r = watch_window_[i];
+    link_watch_[r.link.index()].live = 0;
+    cs_live_reports_[r.cs] = 0;
+  }
+  watch_window_.clear();
+}
+
+void Controller::adopt_watch_window(Controller& dead) {
+  if (dead.watch_window_.empty()) return;
+  if (link_watch_.size() < dead.link_watch_.size()) {
+    link_watch_.resize(dead.link_watch_.size());
+    cs_live_reports_.resize(dead.cs_live_reports_.size(), 0);
+  }
+  // Live entries of both windows in time order, ties to this window's
+  // first — the order a stable sort of the concatenation gives. A link
+  // live in both keeps both entries (both count) until it is reported
+  // again; the dead window's entries take this window's generation.
+  std::vector<LinkReport> mine;
+  for (std::size_t i = 0; i < watch_window_.size(); ++i) {
+    if (watch_live(watch_window_[i])) mine.push_back(watch_window_[i]);
+  }
+  std::vector<LinkReport> theirs;
+  for (std::size_t i = 0; i < dead.watch_window_.size(); ++i) {
+    LinkReport r = dead.watch_window_[i];
+    if (!dead.watch_live(r)) continue;
+    LinkWatch& w = link_watch_[r.link.index()];
+    r.generation = w.generation;
+    ++w.live;
+    ++cs_live_reports_[r.cs];
+    theirs.push_back(r);
+  }
+  dead.clear_watch_window();
+  std::vector<LinkReport> merged;
+  std::merge(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+             std::back_inserter(merged),
+             [](const LinkReport& a, const LinkReport& b) {
+               return a.at < b.at;
+             });
+  watch_window_.clear();
+  for (const LinkReport& r : merged) watch_window_.push_back(r);
 }
 
 RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
@@ -467,16 +609,14 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
         if (c->report.has_value()) count_failover(*c->report, outcome);
       }
       park_link(link);
-      degrade(outcome, link,
-              pool ? "backup pool exhausted; link not recovered"
-                   : "reconfiguration command retries exhausted");
+      degrade(outcome, link, pool ? kLinkPoolExhausted : kRetriesExhausted);
       return outcome;
     }
     count_failover(*ca.report, outcome);
     count_failover(*cb.report, outcome);
-    audit("link-failover",
-          fabric_->device(ca.report->failed_device).name + " & " +
-              fabric_->device(cb.report->failed_device).name + " replaced");
+    audit({.kind = AuditKind::kLinkFailover,
+           .device = ca.report->failed_device,
+           .other = cb.report->failed_device});
     fabric_->network().fail_link(link);  // idempotent if already failed
     fabric_->network().restore_link(link);
     outcome.recovered = true;
@@ -508,9 +648,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     count_failed_recovery(ch.pool_exhausted);
     park_link(link);
     degrade(outcome, link,
-            ch.pool_exhausted
-                ? "backup pool exhausted; host link not recovered"
-                : "reconfiguration command retries exhausted");
+            ch.pool_exhausted ? kHostLinkPoolExhausted : kRetriesExhausted);
     return outcome;
   }
   count_failover(*ch.report, outcome);
@@ -538,8 +676,7 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     // flag the host for troubleshooting (§4.2).
     fabric_->return_to_pool(old_dev);
     ++stats_.switches_exonerated;
-    audit("host-flagged",
-          fabric_->network().node(host).name + " (switch redressed)");
+    audit({.kind = AuditKind::kHostFlagged, .element = host});
     retry_pending();
     flagged_hosts_.push_back(host);
     ++stats_.hosts_flagged;
@@ -560,7 +697,7 @@ std::size_t Controller::run_pending_diagnosis(Seconds queued_before) {
   // their own background pass when the caller supplies a cutoff.
   while (!diagnosis_queue_.empty() &&
          diagnosis_queue_.front().queued_at < queued_before) {
-    PendingDiagnosis job = diagnosis_queue_.front();
+    const PendingDiagnosis job = diagnosis_queue_.front();
     diagnosis_queue_.pop_front();
     ++processed;
     ++stats_.diagnoses_run;
@@ -576,15 +713,14 @@ std::size_t Controller::run_pending_diagnosis(Seconds queued_before) {
       if (v.healthy) {
         fabric_->return_to_pool(v.device);
         ++stats_.switches_exonerated;
-        audit("diagnosis", fabric_->device(v.device).name + " exonerated");
+        audit({.kind = AuditKind::kExonerated, .device = v.device});
         if (tracer_ != nullptr &&
             job.incident != obs::RecoveryTracer::kNoIncident) {
           tracer_->add_span(job.incident, "restore", now_, now_);
         }
       } else {
         ++stats_.switches_confirmed_faulty;
-        audit("diagnosis",
-              fabric_->device(v.device).name + " confirmed faulty");
+        audit({.kind = AuditKind::kConfirmedFaulty, .device = v.device});
         if (job.incident != obs::RecoveryTracer::kNoIncident) {
           incident_of_faulty_[v.device] = job.incident;
         }
@@ -620,7 +756,7 @@ void Controller::on_device_repaired(DeviceUid dev) {
   SBK_EXPECTS(fabric_->device_state(dev) == DeviceState::kOut);
   fabric_->heal_device(dev);
   fabric_->return_to_pool(dev);
-  audit("repair", fabric_->device(dev).name + " healed, back in pool");
+  audit({.kind = AuditKind::kRepair, .device = dev});
   if (auto it = incident_of_faulty_.find(dev);
       it != incident_of_faulty_.end()) {
     if (tracer_ != nullptr) {

@@ -17,7 +17,8 @@
 //     processing + circuit reconfiguration.
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -31,6 +32,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recovery_tracer.hpp"
 #include "sharebackup/fabric.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/time.hpp"
 
 namespace sbk::control {
@@ -77,11 +79,39 @@ enum class CommandStatus {
   kTimeoutApplied,  ///< applied, but the ack was lost
 };
 
+/// The failovers of one recovery. Two fit inline (a switch-switch link
+/// failure replaces both ends); only a dead-on-arrival cascade spills
+/// the list to the heap.
+class FailoverList {
+ public:
+  using Report = sharebackup::Fabric::FailoverReport;
+
+  void push_back(const Report& report);
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const Report* begin() const noexcept { return data(); }
+  [[nodiscard]] const Report* end() const noexcept { return data() + size_; }
+  [[nodiscard]] const Report& operator[](std::size_t i) const noexcept {
+    return data()[i];
+  }
+  [[nodiscard]] const Report& front() const noexcept { return data()[0]; }
+
+ private:
+  static constexpr std::size_t kInline = 2;
+  [[nodiscard]] const Report* data() const noexcept {
+    return spill_.empty() ? inline_.data() : spill_.data();
+  }
+
+  std::array<Report, kInline> inline_{};
+  std::vector<Report> spill_;  ///< every report, once there are > kInline
+  std::size_t size_ = 0;
+};
+
 /// What the controller did about one failure event.
 struct RecoveryOutcome {
   bool recovered = false;
   /// Failovers executed (2 for a switch-switch link failure).
-  std::vector<sharebackup::Fabric::FailoverReport> failovers;
+  FailoverList failovers;
   /// Report arrival to circuits reconfigured (excludes detection time;
   /// see RecoveryLatencyModel for end-to-end numbers). Includes retry
   /// penalties when the command channel misbehaved.
@@ -95,11 +125,13 @@ struct RecoveryOutcome {
   Seconds degraded_latency = 0.0;
   /// Command re-sends plus dead-on-arrival backup cascades spent here.
   std::size_t retries = 0;
-  std::string detail;
+  /// Static text naming what happened (never null).
+  const char* detail = "";
 };
 
 /// One entry of the controller's append-only audit trail: everything an
 /// operator needs to reconstruct what the control plane did and when.
+/// The controller keeps typed records and formats entries on read.
 struct AuditEntry {
   Seconds at = 0.0;
   std::string event;   ///< e.g. "failover", "diagnosis", "repair"
@@ -236,10 +268,10 @@ class Controller {
   [[nodiscard]] const std::vector<net::NodeId>& flagged_hosts() const noexcept {
     return flagged_hosts_;
   }
-  /// Append-only operations log (timestamps from set_time()).
-  [[nodiscard]] const std::vector<AuditEntry>& audit_log() const noexcept {
-    return audit_;
-  }
+  /// Append-only operations log (timestamps from set_time()), formatted
+  /// from the typed records on each call; device and element names are
+  /// read from the fabric, which must still be alive.
+  [[nodiscard]] std::vector<AuditEntry> audit_log() const;
   /// Bounds the in-memory audit trail for always-on service use: once
   /// the log exceeds `limit` entries the oldest are shed in blocks
   /// (amortized O(1)) and counted in audit_dropped(). 0 (the default)
@@ -323,12 +355,19 @@ class Controller {
   /// command retries spent.
   void count_failed_recovery(bool pool_exhausted);
   /// Marks an unrecoverable failure as degraded to the global-reroute
-  /// path (latency model, counters, tracer span, audit).
+  /// path (latency model, counters, tracer span, audit). `detail` is one
+  /// of the static "<cause>; degraded to global reroute" texts; the
+  /// audit trail names the cause.
   void degrade(RecoveryOutcome& outcome, ReportedElement element,
-               const char* cause);
+               const char* detail);
   [[nodiscard]] Seconds degraded_reroute_latency() const;
 
   void note_link_report_for_watchdog(std::size_t cs, net::LinkId link);
+  /// Empties the watchdog window and zeroes its live counts.
+  void clear_watch_window();
+  /// Merges `dead`'s live window entries into this one (see
+  /// adopt_in_flight_from) and empties `dead`'s.
+  void adopt_watch_window(Controller& dead);
   [[nodiscard]] Seconds control_path_latency() const;
 
   /// Records the control-path spans for a completed failover on
@@ -340,35 +379,82 @@ class Controller {
   std::size_t trace_recovery(ReportedElement element,
                              Seconds command_penalty = 0.0);
 
+  /// What an audit record says happened; audit_log() names it.
+  enum class AuditKind : std::uint8_t {
+    kFailover,         ///< device -> other
+    kLinkFailover,     ///< device & other replaced
+    kDoaBackup,        ///< device dead on arrival
+    kCommandUnacked,   ///< reconfiguration applied, never acknowledged
+    kDegraded,         ///< element: cause
+    kHostFlagged,      ///< element (the host node)
+    kExonerated,       ///< device
+    kConfirmedFaulty,  ///< device
+    kRepair,           ///< device
+    kHandoff,          ///< count in-flight commands adopted
+  };
+  /// One fixed-size audit record: appended on the dispatch path without
+  /// building a string, formatted into an AuditEntry on read.
+  struct AuditRecord {
+    Seconds at = 0.0;
+    AuditKind kind = AuditKind::kFailover;
+    sharebackup::DeviceUid device = sharebackup::kNoDeviceUid;
+    sharebackup::DeviceUid other = sharebackup::kNoDeviceUid;
+    ReportedElement element{};
+    std::size_t count = 0;
+    const char* cause = nullptr;  ///< kDegraded: the outcome's detail
+  };
+  [[nodiscard]] AuditEntry format_audit(const AuditRecord& record) const;
+
   void park_node(sharebackup::SwitchPosition pos);
   void park_link(net::LinkId link);
-  void audit(std::string event, std::string detail);
+  /// Appends `record` stamped with now_.
+  void audit(AuditRecord record);
   /// Re-attempts parked recoveries after a pool replenishment.
   void retry_pending();
 
   sharebackup::Fabric* fabric_;
   ControllerConfig config_;
   DiagnosisEngine engine_;
-  std::deque<PendingDiagnosis> diagnosis_queue_;
+  util::RingBuffer<PendingDiagnosis> diagnosis_queue_;
   std::vector<sharebackup::SwitchPosition> pending_nodes_;
   std::vector<net::LinkId> pending_links_;
+  /// retry_pending()'s working copies of the parked lists: swapped with
+  /// them per pass, so neither side gives up its capacity.
+  std::vector<sharebackup::SwitchPosition> retry_nodes_;
+  std::vector<net::LinkId> retry_links_;
   RetryListener retry_listener_;
   bool retrying_ = false;
   /// Set by a re-entrant retry_pending() trigger (pool refill or
   /// watchdog ack landing while a pass runs); the outer pass re-sweeps.
   bool retry_again_ = false;
   CommandFaultHook command_fault_;
-  /// (report time, circuit switch, link): the watchdog counts *distinct*
-  /// sick links per circuit switch, so re-transmitted reports of one
-  /// link cannot trip it.
+  /// One report in the watchdog window. The watchdog counts *distinct*
+  /// sick links per circuit switch, so a re-transmitted report of a link
+  /// retires the link's older entries: they stay queued but stop
+  /// counting once their generation falls behind the link's.
   struct LinkReport {
-    Seconds at;
-    std::size_t cs;
-    net::LinkId link;
+    Seconds at = 0.0;
+    std::size_t cs = 0;
+    net::LinkId link{0};
+    std::uint32_t generation = 0;
   };
-  std::vector<LinkReport> recent_link_reports_;
+  /// Per-link window state: the generation its live entries carry, and
+  /// how many live entries the window holds (two or more only after a
+  /// handoff merged windows that both saw the link).
+  struct LinkWatch {
+    std::uint32_t generation = 0;
+    std::uint32_t live = 0;
+  };
+  [[nodiscard]] bool watch_live(const LinkReport& r) const noexcept {
+    return r.generation == link_watch_[r.link.index()].generation;
+  }
+  /// Reports in time order; a prefix falls out of the window.
+  util::RingBuffer<LinkReport> watch_window_;
+  /// By link index / circuit-switch index; sized on first use.
+  std::vector<LinkWatch> link_watch_;
+  std::vector<std::size_t> cs_live_reports_;
   std::vector<net::NodeId> flagged_hosts_;
-  std::vector<AuditEntry> audit_;
+  std::vector<AuditRecord> audit_;
   std::size_t audit_limit_ = 0;  ///< 0 = unbounded
   std::size_t audit_dropped_ = 0;
   ControllerStats stats_;

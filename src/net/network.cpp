@@ -97,16 +97,6 @@ void Network::set_link_capacity(LinkId id, double capacity) {
   }
 }
 
-const Node& Network::node(NodeId id) const {
-  SBK_EXPECTS(id.valid() && id.index() < nodes_.size());
-  return nodes_[id.index()];
-}
-
-const Link& Network::link(LinkId id) const {
-  SBK_EXPECTS(id.valid() && id.index() < links_.size());
-  return links_[id.index()];
-}
-
 Node& Network::mutable_node(NodeId id) {
   SBK_EXPECTS(id.valid() && id.index() < nodes_.size());
   return nodes_[id.index()];

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "net/ids.hpp"
+#include "util/assert.hpp"
 
 namespace sbk::net {
 
@@ -100,8 +101,14 @@ class Network {
   [[nodiscard]] std::size_t link_count() const noexcept {
     return links_.size();
   }
-  [[nodiscard]] const Node& node(NodeId id) const;
-  [[nodiscard]] const Link& link(LinkId id) const;
+  [[nodiscard]] const Node& node(NodeId id) const {
+    SBK_EXPECTS(id.valid() && id.index() < nodes_.size());
+    return nodes_[id.index()];
+  }
+  [[nodiscard]] const Link& link(LinkId id) const {
+    SBK_EXPECTS(id.valid() && id.index() < links_.size());
+    return links_[id.index()];
+  }
   [[nodiscard]] std::span<const Adjacency> adjacent(NodeId id) const;
   /// The node reached by traversing `dl` (its head).
   [[nodiscard]] NodeId head(DirectedLink dl) const;

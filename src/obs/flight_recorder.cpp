@@ -22,31 +22,51 @@ double FlightRecorder::wall_now_us() {
       .count();
 }
 
-void FlightRecorder::push(TraceEvent&& e) {
+TraceEvent& FlightRecorder::next_slot() {
   // The reserve runs once: after it, recording never reallocates (the
   // "preallocated" contract — deferred to first use so disabled or
   // never-used recorders cost nothing but their own footprint).
   if (ring_.capacity() < capacity_) ring_.reserve(capacity_);
   ++recorded_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
-    return;
+  if (size_ < capacity_) {
+    if (size_ == ring_.size()) ring_.emplace_back();
+    return ring_[size_++];
   }
   // Full: overwrite the oldest event and advance the wrap point.
-  ring_[head_] = std::move(e);
+  TraceEvent& slot = ring_[head_];
   head_ = (head_ + 1) % capacity_;
+  return slot;
+}
+
+TraceEvent& FlightRecorder::begin_event(TracePhase phase,
+                                        std::string_view category,
+                                        std::string_view name, Seconds at) {
+  TraceEvent& e = next_slot();
+  e.phase = phase;
+  e.track = 0;
+  e.category.assign(category);
+  e.name.assign(name);
+  e.ts = at;
+  e.dur = 0.0;
+  e.value = 0.0;
+  e.wall_us = -1.0;
+  return e;
 }
 
 void FlightRecorder::instant(std::string_view category, std::string_view name,
                              Seconds at, std::string_view detail) {
   if (!enabled_) return;
-  TraceEvent e;
-  e.phase = TracePhase::kInstant;
-  e.category = category;
-  e.name = name;
-  e.ts = at;
-  e.detail = detail;
-  push(std::move(e));
+  begin_event(TracePhase::kInstant, category, name, at).detail.assign(detail);
+}
+
+void FlightRecorder::instant(
+    std::string_view category, std::string_view name, Seconds at,
+    std::initializer_list<std::string_view> detail_parts) {
+  if (!enabled_) return;
+  std::string& detail =
+      begin_event(TracePhase::kInstant, category, name, at).detail;
+  detail.clear();
+  for (std::string_view part : detail_parts) detail.append(part);
 }
 
 void FlightRecorder::complete(std::string_view category, std::string_view name,
@@ -54,34 +74,26 @@ void FlightRecorder::complete(std::string_view category, std::string_view name,
                               std::string_view detail) {
   if (!enabled_) return;
   SBK_EXPECTS_MSG(end >= start, "spans must not run backwards");
-  TraceEvent e;
-  e.phase = TracePhase::kComplete;
-  e.category = category;
-  e.name = name;
-  e.ts = start;
+  TraceEvent& e = begin_event(TracePhase::kComplete, category, name, start);
   e.dur = end - start;
   e.wall_us = wall_us;
-  e.detail = detail;
-  push(std::move(e));
+  e.detail.assign(detail);
 }
 
 void FlightRecorder::counter(std::string_view category, std::string_view name,
                              Seconds at, double value) {
   if (!enabled_) return;
-  TraceEvent e;
-  e.phase = TracePhase::kCounter;
-  e.category = category;
-  e.name = name;
-  e.ts = at;
+  TraceEvent& e = begin_event(TracePhase::kCounter, category, name, at);
   e.value = value;
-  push(std::move(e));
+  e.detail.clear();
 }
 
 std::vector<TraceEvent> FlightRecorder::events() const {
   std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out.assign(ring_.begin(), ring_.end());
+  out.reserve(size_);
+  if (size_ < capacity_) {
+    out.assign(ring_.begin(),
+               ring_.begin() + static_cast<std::ptrdiff_t>(size_));
     return out;
   }
   out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
@@ -94,13 +106,14 @@ std::vector<TraceEvent> FlightRecorder::events() const {
 void FlightRecorder::merge(const FlightRecorder& other, std::uint32_t track) {
   if (!enabled_) return;
   for (TraceEvent e : other.events()) {
-    e.track = track;
-    push(std::move(e));
+    TraceEvent& slot = next_slot();
+    slot = std::move(e);
+    slot.track = track;
   }
 }
 
 void FlightRecorder::clear() {
-  ring_.clear();
+  size_ = 0;
   head_ = 0;
   recorded_ = 0;
 }

@@ -17,7 +17,11 @@
 //   2. Bounded memory — the buffer is sized up front (storage is
 //      reserved on the first recorded event) and overwrites the OLDEST
 //      events once full, so a long run keeps its most recent window and
-//      `dropped()` reports exactly how much history was shed.
+//      `dropped()` reports exactly how much history was shed. Events
+//      are written field by field into the slot they take, so a slot's
+//      strings keep their storage; clear() keeps the slots too, and a
+//      recorder reused pass after pass stops allocating once its slots
+//      have held each pass's longest strings.
 //   3. Deterministic content — simulation timestamps, names, and values
 //      depend only on the scenario; wall-clock fields are the one
 //      explicitly nondeterministic channel, and every consumer that
@@ -29,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -73,16 +78,20 @@ class FlightRecorder {
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events currently held (<= capacity).
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Events ever recorded, including overwritten ones.
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
   /// Events overwritten by ring wrap-around (recorded - size).
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return recorded_ - ring_.size();
+    return recorded_ - size_;
   }
 
   void instant(std::string_view category, std::string_view name, Seconds at,
                std::string_view detail = {});
+  /// An instant whose detail is the concatenation of `detail_parts`,
+  /// composed in the slot itself (no temporary string).
+  void instant(std::string_view category, std::string_view name, Seconds at,
+               std::initializer_list<std::string_view> detail_parts);
   void complete(std::string_view category, std::string_view name,
                 Seconds start, Seconds end, double wall_us = -1.0,
                 std::string_view detail = {});
@@ -97,6 +106,8 @@ class FlightRecorder {
   /// enabled flag and capacity (oldest events are shed as usual).
   void merge(const FlightRecorder& other, std::uint32_t track);
 
+  /// Forgets every event and restarts the count; the slots and their
+  /// string storage stay allocated for the next recording.
   void clear();
 
   /// Chrome/Perfetto trace_event JSON ({"traceEvents":[...]}); open the
@@ -111,14 +122,22 @@ class FlightRecorder {
   [[nodiscard]] static double wall_now_us();
 
  private:
-  void push(TraceEvent&& e);
+  /// The slot the next event takes (the oldest one once the ring is
+  /// full), counted as recorded. Its fields still hold whatever it held
+  /// before: the caller overwrites every one of them.
+  TraceEvent& next_slot();
+  /// next_slot() with the fields every phase shares written.
+  TraceEvent& begin_event(TracePhase phase, std::string_view category,
+                          std::string_view name, Seconds at);
 
   bool enabled_;
   std::size_t capacity_;
-  /// Storage is reserved to `capacity_` on the first push; once full,
-  /// `head_` is the slot holding the oldest event (and the next to be
-  /// overwritten).
+  /// Storage is reserved to `capacity_` on the first event; slots are
+  /// constructed on first use and survive clear(). The first `size_`
+  /// slots hold events; once full, `head_` is the slot holding the
+  /// oldest event (and the next to be overwritten).
   std::vector<TraceEvent> ring_;
+  std::size_t size_ = 0;
   std::size_t head_ = 0;
   std::uint64_t recorded_ = 0;
 };
@@ -128,6 +147,8 @@ class FlightRecorder {
 /// [at, at] unless set_end() provides a later simulation end. When the
 /// recorder is null or disabled the constructor and destructor are an
 /// inline branch and nothing else — no call, no clock read, no strings.
+/// The span keeps `category` and `name` as views: every caller passes
+/// string literals, which outlive any scope.
 class ScopedSpan {
  public:
   ScopedSpan(FlightRecorder* recorder, std::string_view category,
@@ -142,6 +163,8 @@ class ScopedSpan {
     if (recorder_ != nullptr) end();
   }
 
+  /// True when the span records (recorder attached and enabled).
+  [[nodiscard]] bool active() const noexcept { return recorder_ != nullptr; }
   /// Extends the span's simulation interval to [at, sim_end].
   void set_end(Seconds sim_end) noexcept { sim_end_ = sim_end; }
   void set_detail(std::string detail) { detail_ = std::move(detail); }
@@ -152,8 +175,8 @@ class ScopedSpan {
   void end();
 
   FlightRecorder* recorder_ = nullptr;  // nullptr when inactive
-  std::string category_;
-  std::string name_;
+  std::string_view category_;
+  std::string_view name_;
   std::string detail_;
   Seconds sim_start_ = 0.0;
   Seconds sim_end_ = 0.0;

@@ -278,7 +278,7 @@ void ControllerService::dispatch_batch(const std::vector<ServiceMessage>& batch,
                                        Seconds start, Seconds end) {
   obs::ScopedSpan span(recorder_, "service", "batch", start);
   span.set_end(end);
-  span.set_detail("size=" + std::to_string(batch.size()));
+  if (span.active()) span.set_detail("size=" + std::to_string(batch.size()));
   if (m_batch_size_ != nullptr) {
     m_batch_size_->record(static_cast<double>(batch.size()));
   }

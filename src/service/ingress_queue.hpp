@@ -27,13 +27,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "service/message.hpp"
 #include "util/assert.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/time.hpp"
 
 namespace sbk::service {
@@ -83,7 +83,8 @@ class IngressQueue {
   using BackpressureFn = std::function<void(bool asserted, Seconds at)>;
 
   explicit IngressQueue(IngressConfig config, BatchFn dispatch)
-      : config_(config), dispatch_(std::move(dispatch)) {
+      : config_(config), dispatch_(std::move(dispatch)),
+        queue_(config.capacity) {
     SBK_EXPECTS(config_.capacity >= 1);
     SBK_EXPECTS(config_.high_water >= 1 &&
                 config_.high_water <= config_.capacity);
@@ -182,7 +183,8 @@ class IngressQueue {
   BatchFn dispatch_;
   RejectFn reject_;
   BackpressureFn on_backpressure_;
-  std::deque<ServiceMessage> queue_;
+  /// Doubles as occupancy peaks grow, never beyond config_.capacity.
+  util::RingBuffer<ServiceMessage> queue_;
   std::vector<ServiceMessage> batch_;  ///< reused dispatch scratch
   Seconds busy_until_ = 0.0;
   bool backpressure_ = false;

@@ -182,12 +182,15 @@ void ReplicatedControllerService::dispatch_to_primary(
 
 void ReplicatedControllerService::replay_buffer(Seconds at) {
   if (buffer_.empty()) return;
-  std::vector<ServiceMessage> pending = std::move(buffer_);
-  buffer_.clear();
-  for (const ServiceMessage& msg : pending) {
+  // Replay dispatches only failure-relevant messages, which never come
+  // back here, so the two buffers just trade storage.
+  SBK_ASSERT(replaying_.empty());
+  replaying_.swap(buffer_);
+  for (const ServiceMessage& msg : replaying_) {
     ++stats_.replayed_reports;
     dispatch_to_primary(msg, at);
   }
+  replaying_.clear();
 }
 
 void ReplicatedControllerService::open_headless_window(Seconds at) {

@@ -167,6 +167,9 @@ class ReplicatedControllerService : private detail::ReplicaBank,
   std::size_t acting_;
   std::optional<Lease> lease_;
   std::vector<ServiceMessage> buffer_;
+  /// replay_buffer()'s working copy of buffer_ (swapped, so both keep
+  /// their capacity).
+  std::vector<ServiceMessage> replaying_;
   std::vector<std::uint64_t> reports_seen_;
   /// Exactly-once guard: seq -> already dispatched to a controller.
   std::vector<bool> acted_;

@@ -121,13 +121,6 @@ void CircuitSwitch::disconnect(int p) {
   ++reconfigurations_;
 }
 
-std::optional<int> CircuitSwitch::peer(int p) const {
-  SBK_EXPECTS(p >= 0 && p < port_count());
-  int q = match_[static_cast<std::size_t>(p)];
-  if (q == -1) return std::nullopt;
-  return q;
-}
-
 std::size_t CircuitSwitch::active_circuits() const {
   std::size_t matched = static_cast<std::size_t>(
       std::count_if(match_.begin(), match_.end(),

@@ -102,8 +102,16 @@ class CircuitSwitch {
   /// Tears down the circuit at `port` (no-op allowed? no: port must be
   /// matched). Counts one reconfiguration.
   void disconnect(int port);
-  [[nodiscard]] std::optional<int> peer(int port) const;
-  [[nodiscard]] bool is_matched(int port) const { return peer(port).has_value(); }
+  [[nodiscard]] std::optional<int> peer(int port) const {
+    SBK_EXPECTS(port >= 0 && port < port_count());
+    const int q = match_[static_cast<std::size_t>(port)];
+    if (q == -1) return std::nullopt;
+    return q;
+  }
+  [[nodiscard]] bool is_matched(int port) const {
+    SBK_EXPECTS(port >= 0 && port < port_count());
+    return match_[static_cast<std::size_t>(port)] != -1;
+  }
 
   /// Number of connect/disconnect operations performed so far.
   [[nodiscard]] std::size_t reconfigurations() const noexcept {

@@ -223,47 +223,6 @@ net::NodeId Fabric::node_at(SwitchPosition pos) const {
   SBK_UNREACHABLE("bad layer");
 }
 
-std::optional<SwitchPosition> Fabric::position_of_node(
-    net::NodeId node) const {
-  const net::Node& n = network().node(node);
-  switch (n.kind) {
-    case net::NodeKind::kEdgeSwitch:
-      return SwitchPosition{Layer::kEdge, n.pod, n.index};
-    case net::NodeKind::kAggSwitch:
-      return SwitchPosition{Layer::kAgg, n.pod, n.index};
-    case net::NodeKind::kCoreSwitch:
-      return SwitchPosition{Layer::kCore, -1, n.index};
-    case net::NodeKind::kHost:
-      return std::nullopt;
-  }
-  SBK_UNREACHABLE("bad node kind");
-}
-
-std::size_t Fabric::group_index(Layer layer, int id) const {
-  SBK_EXPECTS(id >= 0 && id < topo::failure_group_count(k(), layer));
-  const std::size_t pods = static_cast<std::size_t>(k());
-  switch (layer) {
-    case Layer::kEdge: return static_cast<std::size_t>(id);
-    case Layer::kAgg: return pods + static_cast<std::size_t>(id);
-    case Layer::kCore: return 2 * pods + static_cast<std::size_t>(id);
-  }
-  SBK_UNREACHABLE("bad layer");
-}
-
-DeviceUid Fabric::device_at(SwitchPosition pos) const {
-  const DevicePool::Group& g =
-      pool_.group(group_index(pos.layer, topo::failure_group_of(k(), pos)));
-  return g.assigned[static_cast<std::size_t>(topo::group_slot_of(k(), pos))];
-}
-
-const PhysicalDevice& Fabric::device(DeviceUid uid) const {
-  return pool_.device(uid);
-}
-
-DeviceState Fabric::device_state(DeviceUid uid) const {
-  return pool_.state(uid);
-}
-
 std::vector<DeviceUid> Fabric::spares(Layer layer, int grp) const {
   return pool_.group(group_index(layer, grp)).spare;
 }
@@ -395,7 +354,7 @@ std::optional<Fabric::FailoverReport> Fabric::fail_over(SwitchPosition pos) {
   if (m_spare_pool_) m_spare_pool_->set(static_cast<double>(total_spares()));
   if (recorder_ != nullptr && recorder_->enabled()) {
     recorder_->instant("fabric", "failover", trace_now_,
-                       device(failed).name + " -> " + device(spare).name);
+                       {device(failed).name, " -> ", device(spare).name});
     recorder_->counter("fabric", "spare_pool", trace_now_,
                        static_cast<double>(total_spares()));
   }

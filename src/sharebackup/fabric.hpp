@@ -99,10 +99,31 @@ class Fabric {
   // --- positions and devices ------------------------------------------------
   [[nodiscard]] net::NodeId node_at(SwitchPosition pos) const;
   [[nodiscard]] std::optional<SwitchPosition> position_of_node(
-      net::NodeId node) const;
-  [[nodiscard]] DeviceUid device_at(SwitchPosition pos) const;
-  [[nodiscard]] const PhysicalDevice& device(DeviceUid uid) const;
-  [[nodiscard]] DeviceState device_state(DeviceUid uid) const;
+      net::NodeId node) const {
+    const net::Node& n = network().node(node);
+    switch (n.kind) {
+      case net::NodeKind::kEdgeSwitch:
+        return SwitchPosition{Layer::kEdge, n.pod, n.index};
+      case net::NodeKind::kAggSwitch:
+        return SwitchPosition{Layer::kAgg, n.pod, n.index};
+      case net::NodeKind::kCoreSwitch:
+        return SwitchPosition{Layer::kCore, -1, n.index};
+      case net::NodeKind::kHost:
+        return std::nullopt;
+    }
+    SBK_UNREACHABLE("bad node kind");
+  }
+  [[nodiscard]] DeviceUid device_at(SwitchPosition pos) const {
+    const DevicePool::Group& g =
+        pool_.group(group_index(pos.layer, topo::failure_group_of(k(), pos)));
+    return g.assigned[static_cast<std::size_t>(topo::group_slot_of(k(), pos))];
+  }
+  [[nodiscard]] const PhysicalDevice& device(DeviceUid uid) const {
+    return pool_.device(uid);
+  }
+  [[nodiscard]] DeviceState device_state(DeviceUid uid) const {
+    return pool_.state(uid);
+  }
   [[nodiscard]] std::vector<DeviceUid> spares(Layer layer, int group) const;
   [[nodiscard]] std::size_t switch_device_count() const noexcept {
     return switch_devices_.size();
@@ -241,7 +262,16 @@ class Fabric {
   void wire_defaults();
   /// Pool index of a failure group: edge groups by pod, then agg groups
   /// by pod, then core groups.
-  [[nodiscard]] std::size_t group_index(Layer layer, int id) const;
+  [[nodiscard]] std::size_t group_index(Layer layer, int id) const {
+    SBK_EXPECTS(id >= 0 && id < topo::failure_group_count(k(), layer));
+    const std::size_t pods = static_cast<std::size_t>(k());
+    switch (layer) {
+      case Layer::kEdge: return static_cast<std::size_t>(id);
+      case Layer::kAgg: return pods + static_cast<std::size_t>(id);
+      case Layer::kCore: return 2 * pods + static_cast<std::size_t>(id);
+    }
+    SBK_UNREACHABLE("bad layer");
+  }
   // iface.cs is a std::size_t: packing it unmasked into the low word
   // would let a cs >= 2^32 bleed into the device word and alias another
   // interface's health entry, so the checked pack is load-bearing here.

@@ -4,12 +4,18 @@
 // model (§5.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "control/controller.hpp"
 #include "control/controller_cluster.hpp"
 #include "control/failure_detector.hpp"
 #include "control/recovery_latency.hpp"
 #include "net/algo.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace sbk::control {
 namespace {
@@ -51,11 +57,10 @@ TEST(Controller, RepairOutOfServiceRepairsEveryOutDeviceInListOrder) {
   const std::size_t audited = ctrl.audit_log().size();
 
   EXPECT_EQ(ctrl.repair_out_of_service(), 4u);
+  const std::vector<AuditEntry> log = ctrl.audit_log();
   std::vector<std::string> repaired;
-  for (std::size_t i = audited; i < ctrl.audit_log().size(); ++i) {
-    if (ctrl.audit_log()[i].event == "repair") {
-      repaired.push_back(ctrl.audit_log()[i].detail);
-    }
+  for (std::size_t i = audited; i < log.size(); ++i) {
+    if (log[i].event == "repair") repaired.push_back(log[i].detail);
   }
   EXPECT_EQ(repaired, expected);
   for (sharebackup::DeviceUid uid : fabric.switch_devices()) {
@@ -468,6 +473,179 @@ TEST(Controller, WatchdogIgnoresSlowUncorrelatedReports) {
   EXPECT_FALSE(ctrl.human_intervention_required());
 }
 
+/// The watchdog window as the controller kept it before the counted
+/// ring: one list, erased by link and by time and counted by circuit
+/// switch on every report, and stable-sorted by time at a handoff. The
+/// differential test below holds the controller to it.
+class ReferenceWatchdog {
+ public:
+  ReferenceWatchdog(std::size_t threshold, Seconds window)
+      : threshold_(threshold), window_(window) {}
+
+  void report(Seconds now, std::size_t cs, net::LinkId link) {
+    std::erase_if(reports_, [link](const Entry& r) { return r.link == link; });
+    reports_.push_back(Entry{now, cs, link});
+    const Seconds cutoff = now - window_;
+    std::erase_if(reports_,
+                  [cutoff](const Entry& r) { return r.at < cutoff; });
+    const auto count = static_cast<std::size_t>(
+        std::count_if(reports_.begin(), reports_.end(),
+                      [cs](const Entry& r) { return r.cs == cs; }));
+    if (count >= threshold_ && !tripped_) {
+      tripped_ = true;
+      ++trips_;
+    }
+  }
+  void adopt(ReferenceWatchdog& dead) {
+    if (dead.tripped_) tripped_ = true;
+    reports_.insert(reports_.end(), dead.reports_.begin(),
+                    dead.reports_.end());
+    std::stable_sort(reports_.begin(), reports_.end(),
+                     [](const Entry& a, const Entry& b) { return a.at < b.at; });
+    dead.reports_.clear();
+    dead.tripped_ = false;
+  }
+  void acknowledge() {
+    tripped_ = false;
+    reports_.clear();
+  }
+  [[nodiscard]] bool tripped() const { return tripped_; }
+  [[nodiscard]] std::size_t trips() const { return trips_; }
+
+ private:
+  struct Entry {
+    Seconds at;
+    std::size_t cs;
+    net::LinkId link;
+  };
+  std::size_t threshold_;
+  Seconds window_;
+  std::vector<Entry> reports_;
+  bool tripped_ = false;
+  std::size_t trips_ = 0;
+};
+
+TEST(Controller, WatchdogWindowMatchesLinearReference) {
+  Log::set_level(LogLevel::kError);  // every trip logs a warning
+  Fabric fabric(fp(8, 1));
+  ControllerConfig cfg;
+  cfg.watchdog_threshold = 3;
+  cfg.watchdog_window = 1.0;
+  // Pod 0's links at every layer: four per circuit switch, so bursts
+  // trip the watchdog and re-reports of one link recur.
+  std::vector<net::LinkId> links;
+  for (std::size_t i = 0; i < fabric.network().link_count(); ++i) {
+    const net::LinkId link(static_cast<net::LinkId::value_type>(i));
+    const net::Link& l = fabric.network().link(link);
+    if (fabric.network().node(l.a).pod <= 0 &&
+        fabric.network().node(l.b).pod <= 0) {
+      links.push_back(link);
+    }
+  }
+  ASSERT_EQ(links.size(), 48u);
+
+  std::size_t trips = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    // Links stay up, so every report is a stale no-op for recovery and
+    // only the watchdog moves.
+    std::array<Controller, 2> ctrls{Controller(fabric, cfg),
+                                    Controller(fabric, cfg)};
+    std::array<ReferenceWatchdog, 2> refs{
+        ReferenceWatchdog(cfg.watchdog_threshold, cfg.watchdog_window),
+        ReferenceWatchdog(cfg.watchdog_threshold, cfg.watchdog_window)};
+    std::size_t primary = 0;
+    Seconds now = 0.0;
+    for (int step = 0; step < 400; ++step) {
+      const double roll = rng.uniform_real(0.0, 1.0);
+      if (roll < 0.04) {
+        now += rng.uniform_real(1.0, 2.5);  // jump past the window
+      } else if (roll < 0.4) {
+        now += rng.uniform_real(0.0, 0.1);
+      }
+      if (roll < 0.06) {
+        // Handoff: the other controller adopts the primary's window,
+        // which may hold the same links as its own.
+        const std::size_t next = 1 - primary;
+        ctrls[next].set_time(now);
+        ctrls[next].adopt_in_flight_from(ctrls[primary]);
+        refs[next].adopt(refs[primary]);
+        primary = next;
+      } else if (roll < 0.12) {
+        ctrls[primary].acknowledge_intervention();
+        refs[primary].acknowledge();
+      } else {
+        // Mostly the primary reports; sometimes the standby builds its
+        // own window over the same links.
+        const std::size_t who = roll < 0.9 ? primary : 1 - primary;
+        const net::LinkId link = links[rng.uniform_index(links.size())];
+        ctrls[who].set_time(now);
+        (void)ctrls[who].on_link_failure(link);
+        refs[who].report(now, fabric.cs_of_link(link), link);
+      }
+      for (std::size_t c = 0; c < 2; ++c) {
+        ASSERT_EQ(ctrls[c].human_intervention_required(), refs[c].tripped())
+            << "seed " << seed << " step " << step << " controller " << c;
+      }
+    }
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(ctrls[c].stats().watchdog_trips, refs[c].trips())
+          << "seed " << seed << " controller " << c;
+      trips += refs[c].trips();
+    }
+  }
+  EXPECT_GE(trips, 100u);  // the sequences do exercise the watchdog
+}
+
+TEST(Controller, WatchdogRejectsReportsThatRunBackInTime) {
+  Fabric fabric(fp(4, 1));
+  Controller ctrl(fabric, ControllerConfig{});
+  const net::LinkId a = *fabric.network().find_link(
+      fabric.fat_tree().edge(0, 0), fabric.fat_tree().agg(0, 0));
+  const net::LinkId b = *fabric.network().find_link(
+      fabric.fat_tree().edge(0, 1), fabric.fat_tree().agg(0, 1));
+  ctrl.set_time(1.0);
+  (void)ctrl.on_link_failure(a);
+  ctrl.set_time(0.5);
+  EXPECT_THROW((void)ctrl.on_link_failure(b), ContractViolation);
+}
+
+TEST(Controller, DeadOnArrivalCascadeSpillsFailoverList) {
+  Fabric fabric(fp(6, 3));
+  Controller ctrl(fabric, ControllerConfig{});
+  const SwitchPosition pos{Layer::kEdge, 2, 1};
+  const sharebackup::DeviceUid original = fabric.device_at(pos);
+  const auto spares = fabric.spares(Layer::kEdge, 2);
+  ASSERT_EQ(spares.size(), 3u);
+  // The first two spares in allocation order are dead on arrival.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& ports = fabric.ports_of_device(spares[i]);
+    ASSERT_FALSE(ports.empty());
+    fabric.set_interface_health({spares[i], ports.front().cs}, false);
+  }
+
+  fabric.network().fail_node(fabric.node_at(pos));
+  const RecoveryOutcome out = ctrl.on_switch_failure(pos);
+  ASSERT_TRUE(out.recovered);
+  EXPECT_EQ(ctrl.stats().doa_backups, 2u);
+  // Both dead-on-arrival swaps, then the healthy one, in order: more
+  // than the list keeps inline.
+  ASSERT_EQ(out.failovers.size(), 3u);
+  const std::array<sharebackup::DeviceUid, 3> failed{original, spares[0],
+                                                     spares[1]};
+  std::size_t i = 0;
+  for (const Fabric::FailoverReport& report : out.failovers) {
+    EXPECT_EQ(report.failed_device, failed[i]);
+    EXPECT_EQ(report.replacement, spares[i]);
+    ++i;
+  }
+  EXPECT_EQ(out.failovers.front().failed_device, original);
+  const RecoveryOutcome copy = out;
+  ASSERT_EQ(copy.failovers.size(), 3u);
+  EXPECT_EQ(copy.failovers[2].replacement, spares[2]);
+  fabric.check_invariants();
+}
+
 TEST(Controller, AuditLogRecordsTheFullStory) {
   Fabric fabric(fp(6, 1));
   Controller ctrl(fabric, ControllerConfig{});
@@ -479,7 +657,7 @@ TEST(Controller, AuditLogRecordsTheFullStory) {
   ctrl.set_time(2.0);
   ctrl.on_device_repaired(out.failovers[0].failed_device);
 
-  const auto& log = ctrl.audit_log();
+  const std::vector<AuditEntry> log = ctrl.audit_log();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0].event, "failover");
   EXPECT_DOUBLE_EQ(log[0].at, 1.0);
@@ -499,11 +677,12 @@ TEST(Controller, AuditLogRecordsTheFullStory) {
   ctrl.set_time(3.0);
   ASSERT_TRUE(ctrl.on_link_failure(link).recovered);
   ctrl.run_pending_diagnosis();
-  ASSERT_GE(ctrl.audit_log().size(), 5u);
-  EXPECT_EQ(ctrl.audit_log()[2].event, "link-failover");
+  const std::vector<AuditEntry> full = ctrl.audit_log();
+  ASSERT_GE(full.size(), 5u);
+  EXPECT_EQ(full[2].event, "link-failover");
   bool saw_faulty = false;
   bool saw_exonerated = false;
-  for (const auto& e : ctrl.audit_log()) {
+  for (const auto& e : full) {
     if (e.event == "diagnosis") {
       saw_faulty |= e.detail.find("confirmed faulty") != std::string::npos;
       saw_exonerated |= e.detail.find("exonerated") != std::string::npos;

@@ -5,6 +5,10 @@
 // across producer-thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "control/controller_cluster.hpp"
 #include "faultinject/fault_plan.hpp"
 #include "faultinject/report_stream.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "service/controller_service.hpp"
 #include "service/ingress_queue.hpp"
@@ -602,6 +607,160 @@ TEST(ReplicatedService, PrimaryBlipRepairReplaysWithoutFailover) {
   // width in virtual time.
   EXPECT_EQ(stats.headless_seconds, 0.0);
   EXPECT_FALSE(pass_fabric.network().node_failed(victim));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outputs of the observed service path: the trace, every
+// replica's audit trail and the service fingerprint of one replicated
+// primary-crash run, digested. The constants were recorded before the
+// dispatch path stopped allocating (typed audit records formatted on
+// read, recorder slots written in place); they must not move.
+
+/// FNV-1a over a string: a digest that is stable across builds.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Every trace event except its wall-clock reading (only whether one
+/// was taken), as trace_test's deterministic_fingerprint renders it.
+std::uint64_t trace_digest(const obs::FlightRecorder& rec) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  for (const obs::TraceEvent& e : rec.events()) {
+    os << static_cast<char>(e.phase) << '|' << e.track << '|' << e.category
+       << '|' << e.name << '|' << e.ts << '|' << e.dur << '|' << e.value
+       << '|' << (e.wall_us >= 0.0) << '|' << e.detail << '\n';
+  }
+  return fnv1a(os.str());
+}
+
+std::uint64_t audit_digest(const ReplicatedControllerService& service) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  for (std::size_t i = 0; i < service.replica_count(); ++i) {
+    const control::Controller& c = service.replica(i);
+    os << "replica " << i << " dropped " << c.audit_dropped() << '\n';
+    for (const control::AuditEntry& e : c.audit_log()) {
+      os << e.at << '|' << e.event << '|' << e.detail << '\n';
+    }
+  }
+  return fnv1a(os.str());
+}
+
+/// A reduced service_soak stream (--replicas=3 --scenario=primary-crash
+/// at k=8, 2 backups per group).
+std::vector<ServiceMessage> observed_soak_stream() {
+  const sharebackup::Fabric shape(
+      sharebackup::FabricParams{.fat_tree = {.k = 8}, .backups_per_group = 2});
+  fi::FaultPlanConfig pcfg;
+  pcfg.switch_failures = 60;
+  pcfg.link_failures = 90;
+  pcfg.bursts = 4;
+  pcfg.burst_size = 3;
+  pcfg.cluster_scenario = fi::ClusterScenario::kPrimaryCrash;
+  pcfg.cluster_members = 3;
+  const fi::FaultPlan plan = fi::FaultPlan::generate(shape, pcfg, /*seed=*/11);
+  fi::ReportStreamConfig rcfg;
+  rcfg.repeats = 12;
+  rcfg.resends = 3;
+  rcfg.time_scale = 0.02;
+  return fi::build_report_stream(plan, rcfg);
+}
+
+struct ObservedDigests {
+  std::uint64_t trace = 0;
+  std::uint64_t audit = 0;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t audit_dropped = 0;
+};
+
+/// One service_soak-style pass: metrics and `recorder` attached to the
+/// service and to every replica.
+ObservedDigests run_observed_pass(const std::vector<ServiceMessage>& stream,
+                                  std::size_t audit_limit,
+                                  obs::FlightRecorder& recorder) {
+  sharebackup::Fabric fabric(
+      sharebackup::FabricParams{.fat_tree = {.k = 8}, .backups_per_group = 2});
+  ReplicatedServiceConfig cfg;
+  cfg.service.ingress.high_water = 160;
+  cfg.service.ingress.low_water = 64;
+  cfg.service.slo.enabled = true;
+  cfg.cluster.members = 3;
+  cfg.cluster.heartbeat_interval = 0.01 * 0.02;
+  cfg.cluster.miss_threshold = 3;
+  cfg.cluster.election_duration = 0.005 * 0.02;
+  cfg.audit_limit = audit_limit;
+  obs::MetricsRegistry metrics(/*enabled=*/true);
+  ReplicatedControllerService service(fabric, cfg);
+  for (std::size_t i = 0; i < service.replica_count(); ++i) {
+    service.replica(i).attach_metrics(&metrics);
+    service.replica(i).attach_recorder(&recorder);
+  }
+  service.attach_metrics(&metrics);
+  service.attach_recorder(&recorder);
+  service.run_inline(stream);
+  return {trace_digest(recorder), audit_digest(service),
+          fnv1a(service.fingerprint()), service.stats().audit_dropped};
+}
+
+TEST(ObservedService, OutputsMatchPinnedDigest) {
+  Log::set_level(LogLevel::kError);
+  const auto stream = observed_soak_stream();
+  obs::FlightRecorder recorder(/*enabled=*/true, std::size_t{1} << 20);
+  const ObservedDigests d = run_observed_pass(stream, 10000, recorder);
+  ASSERT_EQ(recorder.dropped(), 0u) << "the recorder must not wrap here";
+  EXPECT_EQ(d.audit_dropped, 0u);
+  EXPECT_EQ(d.trace, 0x8a665bd4afb0515eULL);
+  EXPECT_EQ(d.audit, 0x224737b135e8f02eULL);
+  EXPECT_EQ(d.fingerprint, 0xbe3dcc3b1bc2c5dfULL);
+}
+
+TEST(ObservedService, AuditTrimMatchesPinnedDigest) {
+  Log::set_level(LogLevel::kError);
+  const auto stream = observed_soak_stream();
+  obs::FlightRecorder recorder(/*enabled=*/true, std::size_t{1} << 20);
+  const ObservedDigests d = run_observed_pass(stream, 7, recorder);
+  EXPECT_EQ(d.audit_dropped, 6853u);
+  EXPECT_EQ(d.audit, 0xb475efa4b39a46d2ULL);
+  EXPECT_EQ(d.fingerprint, 0xdef7d9b902f833ebULL);
+}
+
+TEST(ObservedService, ReusedRecorderSlotsResetEveryField) {
+  Log::set_level(LogLevel::kError);
+  const auto stream = observed_soak_stream();
+  // The stream's first 200 messages record 290 events: less than one
+  // lap of a 300-slot ring, so each event lands on a slot whose old
+  // contents only a complete overwrite hides.
+  const std::vector<ServiceMessage> prefix(stream.begin(),
+                                           stream.begin() + 200);
+  obs::FlightRecorder fresh(/*enabled=*/true, 300);
+  const ObservedDigests first = run_observed_pass(prefix, 10000, fresh);
+  ASSERT_EQ(fresh.dropped(), 0u);
+  ASSERT_GT(fresh.size(), 250u);
+
+  obs::FlightRecorder reused(/*enabled=*/true, 300);
+  (void)run_observed_pass(stream, 10000, reused);  // wraps many times
+  // Then every slot gets a merged event carrying a track, and either a
+  // duration, a wall-clock reading and a detail, or a value, that the
+  // next pass must not inherit.
+  obs::FlightRecorder marks(/*enabled=*/true, 300);
+  for (int i = 0; i < 150; ++i) {
+    marks.complete("mark", "span", 1.0, 3.0, /*wall_us=*/5.0, "stale");
+    marks.counter("mark", "value", 2.0, 42.0);
+  }
+  reused.merge(marks, /*track=*/9);
+  reused.clear();
+  EXPECT_EQ(reused.size(), 0u);
+  EXPECT_EQ(reused.recorded(), 0u);
+  const ObservedDigests second = run_observed_pass(prefix, 10000, reused);
+  EXPECT_EQ(reused.recorded(), fresh.recorded());
+  EXPECT_EQ(second.trace, first.trace);
+  EXPECT_EQ(second.trace, 0xb6522c937b92bce6ULL);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "util/csv.hpp"
 #include "util/flat_map.hpp"
 #include "util/keys.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -420,6 +421,43 @@ TEST(FlatKeyMap, EmptyRefThrowsOnDereference) {
   util::FlatKeyMap<int>::Ref ref;
   EXPECT_FALSE(ref.valid());
   EXPECT_THROW((void)*ref, ContractViolation);
+}
+
+TEST(RingBuffer, KeepsFifoOrderAcrossWrapAndGrowth) {
+  util::RingBuffer<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the front wraps past the end of the
+  // slots several times, and grow while it is wrapped.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3 + round % 7; ++i) q.push_back(next_in++);
+    for (int i = 0; i < 2 + round % 5 && !q.empty(); ++i) {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      ASSERT_EQ(q[i], next_out + static_cast<int>(i));
+    }
+    if (!q.empty()) {
+      EXPECT_EQ(q.back(), next_in - 1);
+    }
+  }
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7);
+}
+
+TEST(RingBuffer, NeverGrowsPastItsSlotBound) {
+  util::RingBuffer<int> q(5);
+  for (int i = 0; i < 5; ++i) q.push_back(i);
+  EXPECT_THROW(q.push_back(5), ContractViolation);
+  q.pop_front();
+  q.push_back(5);  // a freed slot is reused
+  EXPECT_EQ(q.front(), 1);
+  EXPECT_EQ(q.back(), 5);
+  EXPECT_THROW(util::RingBuffer<int>(0), ContractViolation);
 }
 
 TEST(Time, UnitHelpers) {

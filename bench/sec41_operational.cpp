@@ -1,9 +1,9 @@
 // Experiment E11 — §4.1 operationally: a day-in-the-life run of the
 // assembled control plane (keep-alive + link-probe detection, replicated
-// controllers, table mirroring, background diagnosis, parked-recovery
-// retry) under a compressed failure storm, reporting the distribution of
-// *measured* outage durations per failure — the operational quantity the
-// paper's recovery-latency argument (§5.3) is about.
+// controllers, background diagnosis, parked-recovery retry) under a
+// compressed failure storm, reporting the distribution of *measured*
+// outage durations per failure — the operational quantity the paper's
+// recovery-latency argument (§5.3) is about.
 #include <cstdio>
 #include <optional>
 #include <unordered_map>

@@ -191,6 +191,13 @@ int main(int argc, char** argv) {
   for (const auto& inc : tracer.incidents()) {
     expect(obs::RecoveryTracer::spans_monotone(inc),
            "incident spans are monotone");
+    expect(!inc.spans.empty() && inc.spans.front().stage == "injection" &&
+               inc.span("detection") != nullptr,
+           "incident starts with injection and has a detection span");
+    for (const auto& s : inc.spans) {
+      expect(s.start >= inc.injected_at - 1e-9,
+             "no span starts before the injection");
+    }
     if (inc.closed) {
       std::printf("incident %zu %-28s injected %.4fs  recovered in %.4f ms\n",
                   inc.id, inc.element.c_str(), inc.injected_at,

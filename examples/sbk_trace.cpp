@@ -4,7 +4,7 @@
 //   sbk_trace service   trace.json
 //   sbk_trace incidents trace.json [--window=seconds]
 //   sbk_trace slo       trace.json
-//   sbk_trace check     trace.json [--timeline=timeline.csv]
+//   sbk_trace check     trace.json
 //
 // `summary` aggregates spans by (category, name) and prints the top
 // groups by cumulative wall-clock time (simulated time when no wall
@@ -29,13 +29,11 @@
 // monitor's finish() emits.
 //
 // `check` validates the file: it must parse as trace_event JSON (the
-// loader enforces the schema), recovery spans must be monotone within
-// each incident, and with --timeline every RecoveryTracer CSV row must
-// have a matching trace span — the recovery timeline survives the
-// export round trip. Exits non-zero on any failure, so CI can gate on
-// it.
+// loader enforces the schema), every event must be named with a
+// non-negative duration, recovery spans must be monotone within each
+// incident, and no incident may recover before its injection. Exits
+// non-zero on any failure, so CI can gate on it.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,7 +57,6 @@ namespace {
 struct Options {
   std::string command;
   std::string trace_path;
-  std::string timeline_path;
   std::size_t top = 10;
   double window = 0.05;
 };
@@ -71,8 +68,7 @@ int usage(const std::string& error = "") {
                "       sbk_trace service   <trace.json>\n"
                "       sbk_trace incidents <trace.json> [--window=seconds]\n"
                "       sbk_trace slo       <trace.json>\n"
-               "       sbk_trace check     <trace.json>"
-               " [--timeline=timeline.csv]\n");
+               "       sbk_trace check     <trace.json>\n");
   return 2;
 }
 
@@ -462,44 +458,6 @@ int cmd_slo(const Options& opt) {
 
 // --- check -------------------------------------------------------------------
 
-struct TimelineRow {
-  std::string element;
-  std::size_t incident = 0;
-  std::string stage;
-  double start = 0.0;
-  double end = 0.0;
-};
-
-std::vector<TimelineRow> load_timeline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::vector<TimelineRow> rows;
-  std::string line;
-  if (!std::getline(in, line)) throw std::runtime_error("empty timeline CSV");
-  std::vector<std::string> header = sbk::obs::split_csv_line(line);
-  auto col = [&header, &path](const char* name) {
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return i;
-    }
-    throw std::runtime_error(path + ": missing column " + name);
-  };
-  const std::size_t c_inc = col("incident"), c_elem = col("element"),
-                    c_stage = col("stage"), c_start = col("start"),
-                    c_end = col("end");
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> f = sbk::obs::split_csv_line(line);
-    TimelineRow r;
-    r.incident = static_cast<std::size_t>(std::stoull(f[c_inc]));
-    r.element = f[c_elem];
-    r.stage = f[c_stage];
-    r.start = std::stod(f[c_start]);
-    r.end = std::stod(f[c_end]);
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 int cmd_check(const Options& opt) {
   int failures = 0;
   auto expect = [&failures](bool ok, const std::string& what) {
@@ -532,34 +490,6 @@ int cmd_check(const Options& opt) {
   }
   std::printf("%zu recovery incident(s) monotone\n", incidents.size());
 
-  if (!opt.timeline_path.empty()) {
-    // Cross-check: every RecoveryTracer CSV row must appear in the trace
-    // as a "recovery" span with the same stage and timestamps. (Ring
-    // overflow could evict spans; the check demands a lossless export.)
-    std::vector<TimelineRow> rows = load_timeline(opt.timeline_path);
-    std::size_t matched = 0;
-    for (const TimelineRow& r : rows) {
-      const std::string detail =
-          r.element + "#" + std::to_string(r.incident);
-      bool found = false;
-      for (const TraceEvent& e : events) {
-        if (e.phase != TracePhase::kComplete || e.category != "recovery") {
-          continue;
-        }
-        if (e.name != r.stage || e.detail != detail) continue;
-        if (std::fabs(e.ts - r.start) > 1e-9) continue;
-        if (std::fabs((e.ts + e.dur) - r.end) > 1e-9) continue;
-        found = true;
-        break;
-      }
-      expect(found, "timeline row present in trace: " + detail + " " +
-                        r.stage);
-      if (found) ++matched;
-    }
-    std::printf("timeline cross-check: %zu/%zu row(s) matched\n", matched,
-                rows.size());
-  }
-
   if (failures == 0) std::printf("trace check: OK\n");
   return failures == 0 ? 0 : 1;
 }
@@ -568,13 +498,10 @@ int cmd_check(const Options& opt) {
 
 int main(int argc, char** argv) {
   const sbk::cli::ParseResult args = sbk::cli::parse_args(
-      argc, argv,
-      {{"timeline", true}, {"top", true}, {"window", true}},
-      /*max_positional=*/2);
+      argc, argv, {{"top", true}, {"window", true}}, /*max_positional=*/2);
   if (!args.ok()) return usage(args.error);
 
   Options opt;
-  opt.timeline_path = args.value_of("timeline").value_or("");
   if (auto top = args.value_of("top")) {
     const auto n = sbk::cli::parse_int(*top);
     if (!n || *n < 0) return usage("--top wants a non-negative integer");
@@ -582,7 +509,9 @@ int main(int argc, char** argv) {
   }
   if (auto window = args.value_of("window")) {
     const auto w = sbk::cli::parse_double(*window);
-    if (!w) return usage("--window wants a number of seconds");
+    if (!w || *w < 0.0) {
+      return usage("--window wants a non-negative number of seconds");
+    }
     opt.window = *w;
   }
   if (args.positional.size() < 2) return usage();

@@ -75,9 +75,7 @@ void Controller::attach_metrics(obs::MetricsRegistry* metrics) {
 
 std::size_t Controller::trace_recovery(ReportedElement element,
                                        Seconds command_penalty) {
-  if (tracer_ == nullptr || !tracer_->enabled()) {
-    return obs::RecoveryTracer::kNoIncident;
-  }
+  if (tracer_ == nullptr) return obs::RecoveryTracer::kNoIncident;
   std::size_t inc =
       tracer_->ensure_incident(element_name(fabric_->network(), element),
                                now_);
@@ -236,7 +234,7 @@ void Controller::degrade(RecoveryOutcome& outcome, ReportedElement element,
                           net.node(l.b).name});
     }
   }
-  if (tracer_ != nullptr && tracer_->enabled()) {
+  if (tracer_ != nullptr) {
     // The incident stays open: the element is routed around, not
     // recovered; a later hardware re-attempt closes it.
     std::size_t inc = tracer_->ensure_incident(
@@ -376,9 +374,10 @@ void Controller::adopt_in_flight_from(Controller& dead) {
   for (net::LinkId link : dead.pending_links_) park_link(link);
   dead.pending_nodes_.clear();
   dead.pending_links_.clear();
-  // Offline-diagnosis jobs keep their queue positions and cutoff times;
-  // incident ids stay valid when both controllers share one tracer (the
-  // replicated service attaches the same observers to every replica).
+  // Offline-diagnosis jobs keep their queue positions and cutoff times.
+  // Their incident ids name incidents of the dead controller's tracer,
+  // so they stay valid only where both controllers share one tracer
+  // (the replicated service attaches none to its replicas).
   for (std::size_t i = 0; i < dead.diagnosis_queue_.size(); ++i) {
     diagnosis_queue_.push_back(dead.diagnosis_queue_[i]);
   }

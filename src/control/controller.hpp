@@ -300,8 +300,8 @@ class Controller {
   /// "table_activation" (the zero-length instant the circuit reset
   /// activates the group's preloaded table, §4.3), with trailing
   /// "diagnosis" / "restore" background spans. Incidents are
-  /// correlated with the detector's through the canonical obs element
-  /// names. Pass nullptr to detach; must outlive the controller.
+  /// correlated with the detector's through element_name(). Pass
+  /// nullptr to detach; must outlive the controller.
   void attach_tracer(obs::RecoveryTracer* tracer) noexcept {
     tracer_ = tracer;
   }

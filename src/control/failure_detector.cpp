@@ -6,10 +6,10 @@ namespace sbk::control {
 
 std::string element_name(const net::Network& net, ReportedElement element) {
   if (const auto* node = std::get_if<net::NodeId>(&element)) {
-    return obs::element_for_node(net.node(*node).name);
+    return "node:" + net.node(*node).name;
   }
   const net::Link& l = net.link(std::get<net::LinkId>(element));
-  return obs::element_for_link(net.node(l.a).name, net.node(l.b).name);
+  return "link:" + net.node(l.a).name + "-" + net.node(l.b).name;
 }
 
 FailureDetector::FailureDetector(sim::EventQueue& queue,
@@ -52,7 +52,7 @@ void FailureDetector::attach_metrics(obs::MetricsRegistry* metrics) {
 void FailureDetector::trace_detection(ReportedElement element,
                                       Seconds first_miss,
                                       Seconds detected_at) {
-  if (tracer_ == nullptr || !tracer_->enabled()) return;
+  if (tracer_ == nullptr) return;
   std::size_t inc =
       tracer_->ensure_incident(element_name(*net_, element), first_miss);
   // Anchor at the injection time when the injector announced itself (it

@@ -38,9 +38,10 @@ namespace sbk::control {
 /// The element a failure report is about: a node or a link.
 using ReportedElement = std::variant<net::NodeId, net::LinkId>;
 
-/// The element's RecoveryTracer and audit-log name
-/// (obs::element_for_node, or obs::element_for_link over the endpoint
-/// names). Naming costs string work, so callers name an element only
+/// The element's RecoveryTracer and audit-log name: "node:<name>", or
+/// "link:<a>-<b>" over the endpoint names. Every caller that opens or
+/// joins an incident names its element here, so one element keeps one
+/// incident. Naming costs string work, so callers name an element only
 /// where a record needs the name.
 [[nodiscard]] std::string element_name(const net::Network& net,
                                        ReportedElement element);

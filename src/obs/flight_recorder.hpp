@@ -184,9 +184,12 @@ class ScopedSpan {
 };
 
 /// Replays a RecoveryTracer's incidents into `recorder` as "recovery"
-/// spans (one kComplete event per stage span, detail "element#incident")
-/// so the Perfetto timeline shows the §5.3 pipeline alongside the
-/// simulator's own events, and sbk_trace can cross-check the two.
+/// events: one kComplete event per stage span and one "recovered"
+/// instant per closed incident, each with detail "element#incident".
+/// The tracer stays the one incident store; this is a view of it,
+/// made at the end of a run, so the Perfetto timeline and
+/// `sbk_trace incidents` show the §5.3 pipeline alongside the
+/// simulator's own events (tests/trace_test.cpp RecoveryExport.*).
 void export_recovery_spans(const RecoveryTracer& tracer,
                            FlightRecorder& recorder);
 

@@ -2,18 +2,8 @@
 
 #include "util/assert.hpp"
 #include "util/csv.hpp"
-#include "util/json.hpp"
 
 namespace sbk::obs {
-
-std::string element_for_node(std::string_view node_name) {
-  return "node:" + std::string(node_name);
-}
-
-std::string element_for_link(std::string_view name_a,
-                             std::string_view name_b) {
-  return "link:" + std::string(name_a) + "-" + std::string(name_b);
-}
 
 const RecoverySpan* RecoveryIncident::span(std::string_view stage) const {
   for (const RecoverySpan& s : spans) {
@@ -23,7 +13,6 @@ const RecoverySpan* RecoveryIncident::span(std::string_view stage) const {
 }
 
 std::size_t RecoveryTracer::note_injection(std::string element, Seconds at) {
-  if (!enabled_) return kNoIncident;
   // A re-failure before recovery supersedes the open incident; the old
   // one stays in the log, unclosed, as the record of a failed recovery.
   open_by_element_.erase(element);
@@ -39,7 +28,6 @@ std::size_t RecoveryTracer::note_injection(std::string element, Seconds at) {
 
 std::size_t RecoveryTracer::ensure_incident(std::string_view element,
                                             Seconds fallback_injected_at) {
-  if (!enabled_) return kNoIncident;
   auto it = open_by_element_.find(std::string(element));
   if (it != open_by_element_.end()) return it->second;
   return note_injection(std::string(element), fallback_injected_at);
@@ -47,7 +35,7 @@ std::size_t RecoveryTracer::ensure_incident(std::string_view element,
 
 void RecoveryTracer::add_span(std::size_t incident, std::string_view stage,
                               Seconds start, Seconds end) {
-  if (!enabled_ || incident == kNoIncident) return;
+  if (incident == kNoIncident) return;
   SBK_EXPECTS(incident < incidents_.size());
   SBK_EXPECTS_MSG(end >= start, "spans must not run backwards");
   incidents_[incident].spans.push_back(
@@ -55,7 +43,7 @@ void RecoveryTracer::add_span(std::size_t incident, std::string_view stage,
 }
 
 void RecoveryTracer::close_incident(std::size_t incident, Seconds at) {
-  if (!enabled_ || incident == kNoIncident) return;
+  if (incident == kNoIncident) return;
   SBK_EXPECTS(incident < incidents_.size());
   RecoveryIncident& inc = incidents_[incident];
   if (inc.closed) return;
@@ -95,9 +83,9 @@ void RecoveryTracer::write_csv(std::ostream& out) const {
   csv.row({"incident", "element", "injected_at", "recovered_at", "stage",
            "start", "end", "duration"});
   for (const RecoveryIncident& inc : incidents_) {
-    // Times use the exact round-trip form: this CSV is re-parsed and
-    // cross-checked against flight-recorder traces (sbk_trace check),
-    // where 6-digit rounding would show up as phantom mismatches.
+    // Times use the exact round-trip form: at 6 significant digits a
+    // 70 ns circuit reset at 12.25 ms would print equal start and end
+    // times. The golden failure_drill entry pins these bytes.
     const std::string recovered =
         inc.closed ? CsvWriter::num_exact(inc.recovered_at) : std::string{};
     for (const RecoverySpan& s : inc.spans) {
@@ -107,30 +95,6 @@ void RecoveryTracer::write_csv(std::ostream& out) const {
                CsvWriter::num_exact(s.duration())});
     }
   }
-}
-
-void RecoveryTracer::write_json(std::ostream& out) const {
-  out << "[";
-  for (std::size_t i = 0; i < incidents_.size(); ++i) {
-    const RecoveryIncident& inc = incidents_[i];
-    if (i > 0) out << ",";
-    out << "{\"incident\":" << inc.id << ",\"element\":\""
-        << json_escape(inc.element)
-        << "\",\"injected_at\":" << CsvWriter::num_exact(inc.injected_at);
-    if (inc.closed) {
-      out << ",\"recovered_at\":" << CsvWriter::num_exact(inc.recovered_at);
-    }
-    out << ",\"spans\":[";
-    for (std::size_t j = 0; j < inc.spans.size(); ++j) {
-      const RecoverySpan& s = inc.spans[j];
-      if (j > 0) out << ",";
-      out << "{\"stage\":\"" << json_escape(s.stage)
-          << "\",\"start\":" << CsvWriter::num_exact(s.start)
-          << ",\"end\":" << CsvWriter::num_exact(s.end) << "}";
-    }
-    out << "]}";
-  }
-  out << "]";
 }
 
 }  // namespace sbk::obs

@@ -11,11 +11,15 @@
 // incident with note_injection(); components that only observe an
 // element mid-pipeline correlate through ensure_incident(), which
 // reuses the open incident for that element or opens one at a fallback
-// timestamp. Spans are half-open intervals [start, end] in simulation
-// seconds; a point-in-time event is a zero-length span. close_incident()
-// marks the element recovered; trailing background spans (diagnosis,
-// restore) may still be appended afterwards, and a new failure of the
-// same element opens a fresh incident.
+// timestamp. Elements are opaque keys: every caller must name one
+// element the same way (the control plane uses control::element_name),
+// or its incidents split. Spans are half-open intervals [start, end] in
+// simulation seconds; a point-in-time event is a zero-length span.
+// close_incident() marks the element recovered; trailing background
+// spans (diagnosis, restore) may still be appended afterwards, and a
+// new failure of the same element opens a fresh incident. The tracer
+// has no off switch of its own: a component with no tracer attached
+// records nothing.
 #pragma once
 
 #include <cstddef>
@@ -29,13 +33,6 @@
 #include "util/time.hpp"
 
 namespace sbk::obs {
-
-/// Canonical element names, shared by everything that correlates spans
-/// (detector, controller, injectors). Keep these in sync or incidents
-/// split.
-[[nodiscard]] std::string element_for_node(std::string_view node_name);
-[[nodiscard]] std::string element_for_link(std::string_view name_a,
-                                           std::string_view name_b);
 
 struct RecoverySpan {
   std::string stage;  ///< "injection", "detection", "notification", ...
@@ -61,24 +58,19 @@ class RecoveryTracer {
   static constexpr std::size_t kNoIncident =
       std::numeric_limits<std::size_t>::max();
 
-  explicit RecoveryTracer(bool enabled = true) : enabled_(enabled) {}
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   /// Opens a new incident for `element` at injection time `at`, closing
   /// over any still-open incident for the same element (a re-failure
   /// before recovery is a new incident). Records an "injection" point
-  /// span. Returns kNoIncident when disabled.
+  /// span.
   std::size_t note_injection(std::string element, Seconds at);
 
   /// The open incident for `element`, or a fresh one injected at
   /// `fallback_injected_at` when the injector did not announce itself
-  /// (e.g. a failure storm driving the network directly). Returns
-  /// kNoIncident when disabled.
+  /// (e.g. a failure storm driving the network directly).
   std::size_t ensure_incident(std::string_view element,
                               Seconds fallback_injected_at);
 
-  /// Appends a span; no-op for kNoIncident / disabled tracer.
+  /// Appends a span; no-op for kNoIncident.
   void add_span(std::size_t incident, std::string_view stage, Seconds start,
                 Seconds end);
 
@@ -106,11 +98,8 @@ class RecoveryTracer {
   /// incident,element,injected_at,recovered_at,stage,start,end,duration
   /// (recovered_at empty while the incident is open).
   void write_csv(std::ostream& out) const;
-  /// JSON array of incidents with nested span arrays.
-  void write_json(std::ostream& out) const;
 
  private:
-  bool enabled_;
   std::vector<RecoveryIncident> incidents_;
   std::unordered_map<std::string, std::size_t> open_by_element_;
 };

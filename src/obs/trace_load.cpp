@@ -274,34 +274,4 @@ std::vector<TraceEvent> load_trace_json(std::istream& in) {
   return load_trace_json(buf.str());
 }
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur.push_back(c);
-      }
-    } else if (c == '"' && cur.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  fields.push_back(std::move(cur));
-  return fields;
-}
-
 }  // namespace sbk::obs

@@ -22,8 +22,4 @@ namespace sbk::obs {
 [[nodiscard]] std::vector<TraceEvent> load_trace_json(std::istream& in);
 [[nodiscard]] std::vector<TraceEvent> load_trace_json(const std::string& text);
 
-/// Splits one RFC 4180 CSV line into fields (handles quoted fields and
-/// doubled quotes — the inverse of util/csv.hpp's escaping).
-[[nodiscard]] std::vector<std::string> split_csv_line(const std::string& line);
-
 }  // namespace sbk::obs

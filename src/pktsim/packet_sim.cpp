@@ -50,7 +50,6 @@ struct PacketSimulator::Impl {
   PktSimConfig cfg;
   PktSimStats* stats;
   sim::EventQueue queue;
-  obs::FlightRecorder* recorder = nullptr;
   std::vector<double> busy_until;  ///< per directed link slot
 
   struct Flow {
@@ -289,9 +288,6 @@ struct PacketSimulator::Impl {
     ++f.dup_acks;
     if (f.dup_acks == 3) {
       ++stats->fast_retransmits;
-      if (recorder != nullptr) {
-        recorder->instant("pktsim", "fast_retransmit", queue.now());
-      }
       f.ssthresh = std::max(f.cwnd / 2.0, 2.0);
       f.cwnd = f.ssthresh;
       f.recover_until = f.next_seq - 1;
@@ -329,10 +325,6 @@ struct PacketSimulator::Impl {
   void on_timeout(Flow& f) {
     ++stats->timeouts;
     ++f.timeouts;
-    if (recorder != nullptr && recorder->enabled()) {
-      recorder->instant("pktsim", "timeout", queue.now(),
-                        "flow#" + std::to_string(f.spec.id));
-    }
     f.ssthresh = std::max(f.cwnd / 2.0, 2.0);
     f.cwnd = 1.0;
     f.dup_acks = 0;
@@ -347,10 +339,6 @@ struct PacketSimulator::Impl {
       if (!old || *f.fwd != *old) {
         ++f.reroutes;
         ++stats->reroutes;
-        if (recorder != nullptr && recorder->enabled()) {
-          recorder->instant("pktsim", "reroute", queue.now(),
-                            "flow#" + std::to_string(f.spec.id));
-        }
       }
       send_segment(f, f.highest_acked + 1, /*retx=*/true);
     } else if (queue.now() <= last_action_time) {
@@ -393,10 +381,6 @@ PacketSimulator::PacketSimulator(Network& net, routing::Router& router,
 
 PacketSimulator::~PacketSimulator() = default;
 
-void PacketSimulator::attach_recorder(obs::FlightRecorder* recorder) noexcept {
-  impl_->recorder = recorder;
-}
-
 void PacketSimulator::add_flow(const sim::FlowSpec& flow) {
   SBK_EXPECTS(flow.bytes >= 0.0);
   SBK_EXPECTS(flow.start >= 0.0);
@@ -428,9 +412,6 @@ std::vector<sim::FlowResult> PacketSimulator::run() {
   }
   for (auto& [when, fn] : im.actions) {
     im.queue.schedule_at(when, [&im, action = std::move(fn)] {
-      if (im.recorder != nullptr) {
-        im.recorder->instant("pktsim", "topology_action", im.queue.now());
-      }
       action(*im.net);
     });
   }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "obs/flight_recorder.hpp"
 #include "routing/router.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/flow.hpp"
@@ -101,12 +100,6 @@ class PacketSimulator {
   [[nodiscard]] std::vector<sim::FlowResult> run();
 
   [[nodiscard]] const PktSimStats& stats() const noexcept { return stats_; }
-
-  /// Instants for transport-level incidents (timeouts, fast retransmits,
-  /// reroutes) and topology actions, timestamped with the internal event
-  /// queue's clock. Pass nullptr to detach; the recorder must outlive
-  /// the simulator.
-  void attach_recorder(obs::FlightRecorder* recorder) noexcept;
 
  private:
   struct Impl;

@@ -57,7 +57,6 @@
 #include "control/controller.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recovery_tracer.hpp"
 #include "obs/slo/health_snapshot.hpp"
 #include "obs/slo/log_histogram.hpp"
 #include "obs/slo/slo_monitor.hpp"
@@ -156,12 +155,6 @@ class ControllerService {
   void attach_recorder(obs::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
     slo_monitor_.attach_recorder(recorder);
-  }
-  /// Incident source for SLO breach annotation: each slo_breach alert
-  /// lists the RecoveryTracer incidents overlapping its long window.
-  /// The tracer must outlive the service; nullptr detaches.
-  void attach_tracer(const obs::RecoveryTracer* tracer) noexcept {
-    slo_monitor_.attach_tracer(tracer);
   }
 
   // --- threaded mode ---------------------------------------------------------

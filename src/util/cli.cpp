@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -84,6 +85,8 @@ std::optional<double> parse_double(std::string_view text) {
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
   if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
+  // strtod also spells "nan", "inf" and "infinity"; no flag wants them.
+  if (!std::isfinite(v)) return std::nullopt;
   return v;
 }
 

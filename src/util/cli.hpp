@@ -50,7 +50,8 @@ struct ParseResult {
                                      std::size_t max_positional = 64);
 
 /// Whole-token numeric conversions: "12x", "", and out-of-range values
-/// yield nullopt instead of a silent prefix parse.
+/// yield nullopt instead of a silent prefix parse; so do the non-finite
+/// doubles "nan", "inf" and "-inf".
 [[nodiscard]] std::optional<long long> parse_int(std::string_view text);
 [[nodiscard]] std::optional<double> parse_double(std::string_view text);
 

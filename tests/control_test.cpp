@@ -1015,6 +1015,19 @@ TEST(Detector, PhaseOffsetShiftsDetection) {
 
 // --- recovery tracing through the controller -----------------------------------
 
+TEST(Controller, ElementNamesAreCanonical) {
+  // The detector, the controller and every injector name an element
+  // here, so these strings are the tracer's incident keys and the
+  // timeline CSV's element column. Fat-tree switch names carry commas.
+  Fabric fabric(fp(6, 2));
+  const net::Network& net = fabric.network();
+  const topo::FatTree& ft = fabric.fat_tree();
+  EXPECT_EQ(element_name(net, ft.core(4)), "node:C4");
+  EXPECT_EQ(element_name(net, ft.edge(1, 0)), "node:E[1,0]");
+  const net::LinkId link = *net.find_link(ft.edge(1, 0), ft.agg(1, 2));
+  EXPECT_EQ(element_name(net, link), "link:E[1,0]-A[1,2]");
+}
+
 TEST(Controller, TracesControlPathSpansOnFailover) {
   Fabric fabric(fp(6, 1));
   ControllerConfig cfg;
@@ -1025,8 +1038,7 @@ TEST(Controller, TracesControlPathSpansOnFailover) {
   SwitchPosition pos{Layer::kAgg, 0, 1};
   net::NodeId node = fabric.node_at(pos);
   const Seconds detected = 0.003;
-  tracer.note_injection(
-      obs::element_for_node(fabric.network().node(node).name), 0.001);
+  tracer.note_injection(element_name(fabric.network(), node), 0.001);
   fabric.network().fail_node(node);
   ctrl.set_time(detected);
   ASSERT_TRUE(ctrl.on_switch_failure(pos).recovered);

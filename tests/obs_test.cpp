@@ -175,11 +175,6 @@ TEST(SweepMetrics, MergedRegistryIndependentOfThreadCount) {
 
 // --- recovery tracer -----------------------------------------------------------
 
-TEST(Tracer, ElementNamesAreCanonical) {
-  EXPECT_EQ(element_for_node("C4"), "node:C4");
-  EXPECT_EQ(element_for_link("E0", "A1"), "link:E0-A1");
-}
-
 TEST(Tracer, InjectionDetectionCloseLifecycle) {
   RecoveryTracer tracer;
   std::size_t inc = tracer.note_injection("node:X", 1.0);
@@ -235,19 +230,9 @@ TEST(Tracer, MonotonicityCatchesBackwardsSpans) {
   EXPECT_FALSE(RecoveryTracer::spans_monotone(backwards));
 }
 
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  RecoveryTracer tracer(/*enabled=*/false);
-  EXPECT_EQ(tracer.note_injection("node:Z", 1.0), RecoveryTracer::kNoIncident);
-  EXPECT_EQ(tracer.ensure_incident("node:Z", 1.0), RecoveryTracer::kNoIncident);
-  tracer.add_span(RecoveryTracer::kNoIncident, "detection", 1.0, 2.0);
-  tracer.close_incident(RecoveryTracer::kNoIncident, 2.0);
-  EXPECT_TRUE(tracer.incidents().empty());
-}
-
 TEST(Tracer, CsvExportQuotesAndOrdersRows) {
   RecoveryTracer tracer;
-  const std::string element = element_for_link("E[0,0]", "A[0,1]");
-  std::size_t inc = tracer.note_injection(element, 0.5);
+  std::size_t inc = tracer.note_injection("link:E[0,0]-A[0,1]", 0.5);
   tracer.add_span(inc, "detection", 0.5, 0.503);
   tracer.close_incident(inc, 0.504);
 
@@ -262,11 +247,6 @@ TEST(Tracer, CsvExportQuotesAndOrdersRows) {
   EXPECT_NE(text.find("\"link:E[0,0]-A[0,1]\""), std::string::npos);
   EXPECT_NE(text.find("injection"), std::string::npos);
   EXPECT_NE(text.find("detection"), std::string::npos);
-
-  std::ostringstream json;
-  tracer.write_json(json);
-  EXPECT_NE(json.str().find("\"element\":\"link:E[0,0]-A[0,1]\""),
-            std::string::npos);
 }
 
 }  // namespace

@@ -1,26 +1,32 @@
 // Tests for the flight recorder and time-series telemetry: ring-buffer
 // overwrite semantics, disabled no-op guarantees, deterministic sweep
-// merging, the Perfetto JSON round trip, exact-cadence sampling into
-// recorder counters, and — the load-bearing property — bit-identical
-// observed chaos-soak output (trace with its telemetry counters, SLO
-// timeline, health log, metrics) at any sweep thread count, pinned
-// across builds by digest (wall-clock fields excluded, as the one
-// declared nondeterministic channel).
+// merging, the Perfetto JSON round trip, the export of a RecoveryTracer
+// (the one incident store) into "recovery" trace events, exact-cadence
+// sampling into recorder counters, and — the load-bearing property —
+// bit-identical observed chaos-soak output (trace with its telemetry
+// counters, SLO timeline, health log, metrics) at any sweep thread
+// count, pinned across builds by digest (wall-clock fields excluded, as
+// the one declared nondeterministic channel).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "control/controller.hpp"
+#include "control/failure_detector.hpp"
 #include "faultinject/chaos_soak.hpp"
 #include "net/algo.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recovery_tracer.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_load.hpp"
 #include "routing/router.hpp"
+#include "sharebackup/fabric.hpp"
 #include "sim/fluid_sim.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/assert.hpp"
@@ -119,6 +125,159 @@ TEST(FlightRecorder, TraceJsonRoundTripsThroughLoader) {
 
   EXPECT_EQ(back[2].phase, TracePhase::kCounter);
   EXPECT_DOUBLE_EQ(back[2].value, 9.0);
+}
+
+// --- recovery export ---------------------------------------------------------
+
+/// A short drill on a real detector and controller (k=6, one spare per
+/// group) with a tracer attached to both: a core switch dies (a closed
+/// incident), an edge-agg link fails at the edge side (closed, then
+/// trailed by the offline diagnosis and the exonerated agg device's
+/// restore), and the same core switch dies again once its group's only
+/// spare is spent (a re-failure that stays open, degraded to global
+/// reroute).
+RecoveryTracer traced_drill() {
+  sharebackup::FabricParams params;
+  params.fat_tree.k = 6;
+  params.backups_per_group = 1;
+  sharebackup::Fabric fabric(params);
+  const net::Network& net = fabric.network();
+  control::Controller controller(fabric, control::ControllerConfig{});
+  sim::EventQueue queue;
+  control::FailureDetector detector(queue, net, control::DetectorConfig{});
+  RecoveryTracer tracer;
+  detector.attach_tracer(&tracer);
+  controller.attach_tracer(&tracer);
+  detector.on_node_failure([&](net::NodeId node, Seconds t) {
+    controller.set_time(t);
+    if (controller.on_switch_failure(*fabric.position_of_node(node))
+            .recovered) {
+      detector.rearm_node(node);
+    }
+  });
+  detector.on_link_failure([&](net::LinkId link, Seconds t) {
+    controller.set_time(t);
+    (void)controller.on_link_failure(link);
+  });
+
+  const net::NodeId core = fabric.fat_tree().core(4);
+  const net::NodeId edge = fabric.fat_tree().edge(1, 0);
+  const net::LinkId link =
+      *net.find_link(edge, fabric.fat_tree().agg(1, 2));
+  const Seconds horizon = 0.3;
+  detector.watch_node(core, horizon);
+  detector.watch_link(link, horizon);
+  auto fail_core = [&] {
+    tracer.note_injection(control::element_name(net, core), queue.now());
+    fabric.network().fail_node(core);
+  };
+  queue.schedule_at(0.010, fail_core);
+  queue.schedule_at(0.100, [&] {
+    tracer.note_injection(control::element_name(net, link), queue.now());
+    fabric.ground_link_failure(link, edge);
+  });
+  queue.schedule_at(0.200, fail_core);
+  queue.run();
+  controller.set_time(queue.now());
+  (void)controller.run_pending_diagnosis();
+  return tracer;
+}
+
+/// The tracer exported into a recorder, written as trace JSON and
+/// loaded back: what `sbk_trace` reads.
+std::vector<TraceEvent> exported(const RecoveryTracer& tracer) {
+  FlightRecorder recorder;
+  export_recovery_spans(tracer, recorder);
+  std::ostringstream out;
+  recorder.write_trace_json(out);
+  return load_trace_json(out.str());
+}
+
+std::string incident_detail(const RecoveryIncident& inc) {
+  return inc.element + "#" + std::to_string(inc.id);
+}
+
+TEST(RecoveryExport, DrillTracesClosedDiagnosedAndOpenIncidents) {
+  const RecoveryTracer tracer = traced_drill();
+  ASSERT_EQ(tracer.incidents().size(), 3u);
+  const RecoveryIncident& core = tracer.incidents()[0];
+  const RecoveryIncident& link = tracer.incidents()[1];
+  const RecoveryIncident& again = tracer.incidents()[2];
+  // injection, detection, notification, decision, command,
+  // reconfiguration, table_activation.
+  EXPECT_EQ(core.element, "node:C4");
+  EXPECT_TRUE(core.closed);
+  EXPECT_EQ(core.spans.size(), 7u);
+  EXPECT_NE(core.span("reconfiguration"), nullptr);
+  // The same seven, then the background diagnosis and a restore.
+  EXPECT_EQ(link.element, "link:E[1,0]-A[1,2]");
+  EXPECT_TRUE(link.closed);
+  EXPECT_EQ(link.spans.size(), 9u);
+  EXPECT_NE(link.span("diagnosis"), nullptr);
+  EXPECT_NE(link.span("restore"), nullptr);
+  // injection, detection and a degraded reroute; the diagnosis pass
+  // retries the parked failure, which degrades a second time.
+  EXPECT_EQ(again.element, core.element);
+  EXPECT_FALSE(again.closed);
+  EXPECT_EQ(again.spans.size(), 4u);
+  EXPECT_NE(again.span("detection"), nullptr);
+  EXPECT_NE(again.span("degraded_reroute"), nullptr);
+  EXPECT_TRUE(tracer.all_spans_monotone());
+}
+
+TEST(RecoveryExport, EveryTracerSpanIsOneRecoveryEvent) {
+  const RecoveryTracer tracer = traced_drill();
+  const std::vector<TraceEvent> events = exported(tracer);
+  std::size_t spans = 0;
+  for (const RecoveryIncident& inc : tracer.incidents()) {
+    const std::string detail = incident_detail(inc);
+    for (const RecoverySpan& s : inc.spans) {
+      ++spans;
+      std::size_t matches = 0;
+      for (const TraceEvent& e : events) {
+        if (e.phase == TracePhase::kComplete && e.category == "recovery" &&
+            e.name == s.stage && e.detail == detail &&
+            std::fabs(e.ts - s.start) <= 1e-9 &&
+            std::fabs(e.ts + e.dur - s.end) <= 1e-9) {
+          ++matches;
+        }
+      }
+      EXPECT_EQ(matches, 1u) << detail << " " << s.stage;
+    }
+  }
+  std::size_t recovery_spans = 0;
+  for (const TraceEvent& e : events) {
+    if (e.phase == TracePhase::kComplete && e.category == "recovery") {
+      ++recovery_spans;
+    }
+  }
+  EXPECT_EQ(recovery_spans, spans);
+}
+
+TEST(RecoveryExport, EveryClosedIncidentIsOneRecoveredInstant) {
+  const RecoveryTracer tracer = traced_drill();
+  const std::vector<TraceEvent> events = exported(tracer);
+  std::size_t closed = 0;
+  for (const RecoveryIncident& inc : tracer.incidents()) {
+    std::size_t matches = 0;
+    for (const TraceEvent& e : events) {
+      if (e.phase == TracePhase::kInstant && e.category == "recovery" &&
+          e.name == "recovered" && e.detail == incident_detail(inc)) {
+        ++matches;
+        EXPECT_NEAR(e.ts, inc.recovered_at, 1e-9) << e.detail;
+      }
+    }
+    EXPECT_EQ(matches, inc.closed ? 1u : 0u) << incident_detail(inc);
+    if (inc.closed) ++closed;
+  }
+  std::size_t instants = 0;
+  for (const TraceEvent& e : events) {
+    if (e.phase == TracePhase::kInstant && e.category == "recovery") {
+      ++instants;
+    }
+  }
+  EXPECT_EQ(instants, closed);
+  EXPECT_EQ(closed, 2u);
 }
 
 // --- telemetry sampler -------------------------------------------------------

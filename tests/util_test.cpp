@@ -92,6 +92,16 @@ TEST(Cli, ParseIntAndDoubleRejectPartialTokens) {
   EXPECT_FALSE(cli::parse_double("2.5GB").has_value());
 }
 
+TEST(Cli, ParseDoubleRejectsNonFiniteValues) {
+  // strtod accepts these spellings whole; a flag value must be finite.
+  EXPECT_FALSE(cli::parse_double("nan").has_value());
+  EXPECT_FALSE(cli::parse_double("inf").has_value());
+  EXPECT_FALSE(cli::parse_double("-inf").has_value());
+  EXPECT_FALSE(cli::parse_double("1e400").has_value());  // overflows
+  EXPECT_DOUBLE_EQ(cli::parse_double("-1e300").value_or(0.0), -1e300);
+  EXPECT_DOUBLE_EQ(cli::parse_double("0").value_or(-1.0), 0.0);
+}
+
 TEST(Assert, ExpectsThrowsContractViolation) {
   EXPECT_THROW(SBK_EXPECTS(1 == 2), ContractViolation);
   EXPECT_NO_THROW(SBK_EXPECTS(1 == 1));
